@@ -17,8 +17,12 @@ GO ?= go
 
 ci: vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke tune-smoke serve-smoke slo-smoke
 
+# vet also gates formatting: any file gofmt would rewrite fails the step.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # Deprecation gate: new uses of deprecated APIs (Session.Evaluate, the
 # Stats type alias) fail CI. Prefers staticcheck's SA1019 when installed;
@@ -52,11 +56,13 @@ flaky:
 # Zero-copy hot-path gate: the AllocsPerRun == 0 assertions on the warm
 # view-split loops, the pointer-identity alias and stitch checks, the
 # pooled-buffer leak suite (poison mode) and steady-state zero-spawn proof,
-# and the aliasing recovery regressions (retry/fallback restoring storage
-# that pieces alias).
+# the scratch retention checks (a dead session's buffers are freed by one GC
+# cycle; a live session's view slots pin only its latest evaluation), and
+# the aliasing recovery regressions (retry/fallback restoring storage that
+# pieces alias).
 pool-smoke:
 	$(GO) test -count=1 -run 'ZeroAllocs|Stitch|MergeFallback|ViewSplitsCounted' ./internal/annotations/vmathsa
-	$(GO) test -count=1 -run 'TestWorkerPool|TestSteadyState|TestSharedWorkerPool|TestDisableWorkerPool|TestPoison' ./internal/core
+	$(GO) test -count=1 -run 'TestWorkerPool|TestSteadyState|TestSharedWorkerPool|TestDisableWorkerPool|TestPoison|TestDeadSessionBuffersFreeInOneGC|TestViewSlotsHoldOnlyLatestEvaluation' ./internal/core
 	$(GO) test -count=1 -run 'TestRetryRestoresAliasedBands|TestFallbackRestoresAliasedBands|TestWriteBackAliasesValue|TestCopySplitterKeepsCopySemantics' ./internal/annotations/imagesa
 
 # mozartd's end-to-end smoke: boot on an ephemeral port, evaluate for a

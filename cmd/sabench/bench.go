@@ -55,11 +55,11 @@ type benchPoint struct {
 }
 
 type benchWorkload struct {
-	Name          string       `json:"name"`
-	Library       string       `json:"library"`
-	Scale         int          `json:"scale"`
-	Evaluations   int          `json:"evaluations"`
-	DistinctPlans int          `json:"distinct_plans"`
+	Name          string `json:"name"`
+	Library       string `json:"library"`
+	Scale         int    `json:"scale"`
+	Evaluations   int    `json:"evaluations"`
+	DistinctPlans int    `json:"distinct_plans"`
 	// BatchSource records where the captured plans' batch policy came from
 	// (plan.BatchProvenance): "static" for the 5.2 heuristic, "sweeping" or
 	// "calibrated" when a tuner was attached. Bench runs untuned sessions,

@@ -17,6 +17,7 @@ import (
 
 // execute runs every stage of the plan in order (§5.2).
 func (s *Session) execute(ctx context.Context, p *plan) error {
+	defer s.pools.sweepViews()
 	for si := range p.stages {
 		if err := ctx.Err(); err != nil {
 			se := s.stageErr(&p.stages[si], originFromContext(err), err)
@@ -203,10 +204,12 @@ type stageExec struct {
 	// viewers[i] is inputs[i]'s splitter as a ViewSplitter when its
 	// capability set includes CapView (nil otherwise), resolved once per
 	// stage so the per-batch loop never type-asserts. View-capable inputs
-	// split through SplitView with a per-worker reuse slot: in steady
-	// state the previous evaluation's piece is still the right view and
-	// comes back unboxed — zero allocations.
+	// split through SplitView with the session's reuse slot for the
+	// batch, views[i][idx]: in steady state the previous evaluation's
+	// piece is still the right view and comes back unboxed — zero
+	// allocations.
 	viewers []ViewSplitter
+	views   [][]any
 
 	// Per-stage observability detail, computed once so the per-batch hot
 	// loop emits events without building strings or re-deriving sizes.
@@ -380,63 +383,17 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 			CacheBytes: s.opts.cacheTargetBytes()})
 	}
 
-	if s.opts.DynamicScheduling {
-		return s.executeDynamic(ctx, ex, total, batch, workers)
-	}
-
-	// Static partitioning: workers take contiguous, near-equal element
-	// ranges (§5.2 Step 1). The first worker error cancels the stage
-	// context so siblings stop at their next batch boundary.
-	per := total / int64(workers)
-	rem := total % int64(workers)
-
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := s.pools.getOuts(workers)
-	var wg sync.WaitGroup
-	lo := int64(0)
-	for w := 0; w < workers; w++ {
-		hi := lo + per
-		if int64(w) < rem {
-			hi++
-		}
-		wg.Add(1)
-		w, wlo, whi := w, lo, hi
-		s.spawn(func() {
-			defer wg.Done()
-			s.workerLoop(wctx, ex, func() {
-				results[w] = s.runWorker(wctx, ex, w, wlo, whi, batch)
-			})
-			if results[w].err != nil {
-				cancel()
-			}
-		})
-		lo = hi
-	}
-	wg.Wait()
-
-	errs := make([]error, len(results))
-	for i, r := range results {
-		errs[i] = r.err
-	}
-	if err := s.firstWorkerError(st, errs); err != nil {
+	bp, err := s.runRange(ctx, ex, 0, total, batch, workers)
+	if err != nil {
 		return err
 	}
+	defer s.pools.putAnys(bp.buf)
 
-	// Final merge on the main thread (§5.2 Step 3), then write back.
+	// One merge per output on the main thread, in batch order (§5.2 Step
+	// 3), then write back.
 	t0 := time.Now()
 	for oi, out := range st.outputs {
-		nPieces := 0
-		for _, r := range results {
-			nPieces += len(r.partials[out.b.id])
-		}
-		pieces := s.pools.getAnys(nPieces)
-		pieces = pieces[:0]
-		for _, r := range results {
-			pieces = append(pieces, r.partials[out.b.id]...)
-		}
-		merged, err := s.mergePieces(out.r, pieces)
-		s.pools.putAnys(pieces[:cap(pieces)])
+		merged, err := s.mergePieces(out.r, bp.output(oi))
 		if err != nil {
 			return s.stageErr(st, OriginMerge, fmt.Errorf("merge output %d: %w", oi, err))
 		}
@@ -446,15 +403,92 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 		out.b.discarded = false
 	}
 	s.stats.add(&s.stats.MergeNS, time.Since(t0))
-	s.emitMerge(ex, obs.RuntimeLane, t0)
-	for i := range results {
-		s.pools.putRaw(results[i].partials)
-	}
-	s.pools.putOuts(results)
+	s.emitMerge(ex, t0)
 
 	// In-place mutated bindings are already up to date; mark them ready.
 	s.finishStageBindings(st)
 	return nil
+}
+
+// batchPieces holds the output pieces of one runRange: buf[oi*n+idx] is
+// output oi's piece of batch idx.
+type batchPieces struct {
+	n   int
+	buf []any
+}
+
+// output returns output oi's pieces in batch order.
+func (bp batchPieces) output(oi int) []any {
+	return bp.buf[oi*bp.n : (oi+1)*bp.n]
+}
+
+// runRange executes elements [lo, hi) of a stage (§5.2 Step 2), the one
+// batch loop behind both in-memory stages and streaming windows. The range
+// is cut into batches at fixed offsets lo, lo+batch, lo+2·batch, …, and up
+// to workers goroutines claim them from an atomic counter, so the cut —
+// and with it every merged result, reductions included — does not depend
+// on the worker count. Output pieces are stored by batch index for one
+// ordered merge per output; the caller returns bp.buf to the pools. The
+// first batch error cancels the range, and siblings stop at their next
+// claim.
+func (s *Session) runRange(ctx context.Context, ex *stageExec, lo, hi, batch int64, workers int) (batchPieces, error) {
+	nb := int((hi - lo + batch - 1) / batch)
+	bp := batchPieces{n: nb, buf: s.pools.getAnys(len(ex.st.outputs) * nb)}
+	workers = min(workers, nb)
+	if workers < 1 {
+		return bp, nil
+	}
+	for ii, vs := range ex.viewers {
+		if vs != nil {
+			if ex.views == nil {
+				ex.views = make([][]any, len(ex.viewers))
+			}
+			ex.views[ii] = s.pools.viewSlotsFor(ex.si, ii, nb)
+		}
+	}
+
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var next atomic.Int64
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		w := w
+		s.spawn(func() {
+			defer wg.Done()
+			s.workerLoop(wctx, ex, func() {
+				sc := s.pools.getScratch()
+				defer s.pools.putScratch(sc)
+				for {
+					idx := int(next.Add(1) - 1)
+					if idx >= nb {
+						return
+					}
+					if err := wctx.Err(); err != nil {
+						errs[w] = err
+						return
+					}
+					start := lo + int64(idx)*batch
+					out, err := s.runBatchResilient(wctx, ex, sc, w, idx, start, min(start+batch, hi))
+					if err != nil {
+						errs[w] = err
+						cancel()
+						return
+					}
+					for oi, piece := range out {
+						bp.buf[oi*nb+idx] = piece
+					}
+				}
+			})
+		})
+	}
+	wg.Wait()
+	if err := s.firstWorkerError(ex.st, errs); err != nil {
+		s.pools.putAnys(bp.buf)
+		return batchPieces{}, err
+	}
+	return bp, nil
 }
 
 // workerLoop runs body, optionally under pprof labels so CPU profiles
@@ -469,12 +503,11 @@ func (s *Session) workerLoop(ctx context.Context, ex *stageExec, body func()) {
 	pprof.Do(ctx, labels, func(context.Context) { body() })
 }
 
-// emitMerge reports a merge span (per-worker pre-merge or the final merge on
-// the runtime lane) started at t0.
-func (s *Session) emitMerge(ex *stageExec, worker int, t0 time.Time) {
+// emitMerge reports a merge span on the runtime lane started at t0.
+func (s *Session) emitMerge(ex *stageExec, t0 time.Time) {
 	if tr := s.opts.Tracer; tr != nil {
 		tr.Emit(obs.Event{Kind: obs.EvMerge, Time: time.Now(), Dur: time.Since(t0),
-			Stage: ex.si, Worker: worker, Calls: ex.calls, Split: ex.split})
+			Stage: ex.si, Worker: obs.RuntimeLane, Calls: ex.calls, Split: ex.split})
 	}
 }
 
@@ -534,99 +567,14 @@ func (s *Session) finishStageBindings(st *planStage) {
 	}
 }
 
-// executeDynamic is the work-stealing-style alternative to static
-// partitioning: workers atomically claim the next unprocessed batch, and
-// stop claiming as soon as any worker records an error (the stage context
-// is canceled). Output pieces are collected per batch index so merges see
-// them in order and results match static scheduling exactly.
-func (s *Session) executeDynamic(ctx context.Context, ex *stageExec, total, batch int64, workers int) error {
-	st := ex.st
-	nBatches := (total + batch - 1) / batch
-	pieces := map[int][]any{} // output binding id -> piece per batch index
-	for _, o := range st.outputs {
-		pieces[o.b.id] = s.pools.getAnys(int(nBatches))
-	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var next atomic.Int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		w := w
-		s.spawn(func() {
-			defer wg.Done()
-			s.workerLoop(wctx, ex, func() {
-				sc := s.pools.getScratch()
-				defer s.pools.putScratch(sc)
-				for {
-					if err := wctx.Err(); err != nil {
-						errs[w] = err
-						return
-					}
-					idx := next.Add(1) - 1
-					if idx >= nBatches {
-						return
-					}
-					start := idx * batch
-					end := start + batch
-					if end > total {
-						end = total
-					}
-					out, err := s.runBatchResilient(wctx, ex, sc, w, start, end)
-					if err != nil {
-						errs[w] = err
-						cancel()
-						return
-					}
-					for id, piece := range out {
-						pieces[id][idx] = piece
-					}
-				}
-			})
-		})
-	}
-	wg.Wait()
-	if err := s.firstWorkerError(st, errs); err != nil {
-		return err
-	}
-
-	t0 := time.Now()
-	for oi, out := range st.outputs {
-		all := pieces[out.b.id]
-		ps := s.pools.getAnys(len(all))
-		ps = ps[:0]
-		for _, p := range all {
-			if p != nil {
-				ps = append(ps, p)
-			}
-		}
-		merged, err := s.mergePieces(out.r, ps)
-		s.pools.putAnys(ps[:cap(ps)])
-		s.pools.putAnys(all)
-		if err != nil {
-			return s.stageErr(st, OriginMerge, fmt.Errorf("merge output %d: %w", oi, err))
-		}
-		out.b.val = merged
-		out.b.hasVal = true
-		out.b.ready = true
-		out.b.discarded = false
-	}
-	s.stats.add(&s.stats.MergeNS, time.Since(t0))
-	s.emitMerge(ex, obs.RuntimeLane, t0)
-	s.finishStageBindings(st)
-	return nil
-}
-
-// runBatch splits inputs for [start, end), pipelines the batch through the
-// stage's calls, and returns the pieces of stage outputs. sc is the pooled
-// per-worker scratch (env map, argument buffers, SplitView reuse slots).
-// It is the single batch body for both static and dynamic scheduling, so
-// panic isolation and Pedantic checks behave identically under either
-// scheduler. w is the worker lane and attempt the retry attempt number,
-// both only used for the batch span event. The returned output map is
-// scratch-owned: callers must consume it before the worker's next batch.
-func (s *Session) runBatch(ex *stageExec, sc *workerScratch, w int, start, end int64, attempt int) (map[int]any, error) {
+// runBatch splits inputs for batch idx = [start, end), pipelines the batch
+// through the stage's calls, and returns the batch's piece of each stage
+// output. sc is the worker's scratch
+// (env map, output and argument buffers); the returned slice is
+// scratch-owned, so callers must consume it before the worker's next batch.
+// w is the worker lane and attempt the retry attempt number, both only used
+// for the batch span event.
+func (s *Session) runBatch(ex *stageExec, sc *workerScratch, w, idx int, start, end int64, attempt int) ([]any, error) {
 	st, inputs := ex.st, ex.inputs
 	batchErr := func(origin FaultOrigin, call string, err error) *StageError {
 		se := s.stageErr(st, origin, err)
@@ -644,13 +592,13 @@ func (s *Session) runBatch(ex *stageExec, sc *workerScratch, w int, start, end i
 		var err error
 		if ex.viewers != nil && ex.viewers[ii] != nil {
 			// Zero-copy path: hand the splitter the reuse slot from the
-			// last batch at these coordinates. In steady state the slot
-			// already holds the right view of the right storage and comes
-			// back unchanged — no copy, no boxing, no allocation.
-			key := viewKey{in: ii, start: start, end: end}
-			piece, err = s.safeSplitView(ex.viewers[ii], in.val, in.r.t, start, end, sc.views[key])
+			// last run of this batch. In steady state the slot already
+			// holds the right view of the right storage and comes back
+			// unchanged — no copy, no boxing, no allocation.
+			slot := &ex.views[ii][idx]
+			piece, err = s.safeSplitView(ex.viewers[ii], in.val, in.r.t, start, end, *slot)
 			if err == nil {
-				sc.views[key] = piece
+				*slot = piece
 				views++
 			}
 		} else {
@@ -705,15 +653,9 @@ func (s *Session) runBatch(ex *stageExec, sc *workerScratch, w int, start, end i
 			env[c.n.ret.id] = ret
 		}
 	}
-	var out map[int]any
-	if len(st.outputs) > 0 {
-		out = sc.out
-		clear(out)
-		for _, o := range st.outputs {
-			if piece, ok := env[o.b.id]; ok {
-				out[o.b.id] = piece
-			}
-		}
+	out := sc.outFor(len(st.outputs))
+	for oi, o := range st.outputs {
+		out[oi] = env[o.b.id]
 	}
 	if tr := s.opts.Tracer; tr != nil {
 		tr.Emit(obs.Event{Kind: obs.EvBatch, Time: time.Now(), Dur: time.Since(t0),
@@ -723,69 +665,6 @@ func (s *Session) runBatch(ex *stageExec, sc *workerScratch, w int, start, end i
 			Bytes: (end - start) * ex.elemBytes, Attempt: attempt})
 	}
 	return out, nil
-}
-
-type workerOut struct {
-	partials map[int][]any
-	err      error
-}
-
-// runWorker is the per-worker driver loop (§5.2 Step 2): for each batch in
-// the worker's element range, run the batch through the stage and stash
-// pieces of stage outputs; at the end the worker pre-merges its own partial
-// lists. The worker checks the stage context between batches and aborts
-// promptly once a sibling has failed or the stage deadline passed.
-func (s *Session) runWorker(ctx context.Context, ex *stageExec, w int, lo, hi, batch int64) workerOut {
-	st := ex.st
-	sc := s.pools.getScratch()
-	defer s.pools.putScratch(sc)
-	raw := s.pools.getRaw() // output binding id -> pieces
-
-	for start := lo; start < hi; start += batch {
-		if err := ctx.Err(); err != nil {
-			s.pools.putRaw(raw)
-			return workerOut{err: err}
-		}
-		end := start + batch
-		if end > hi {
-			end = hi
-		}
-		out, err := s.runBatchResilient(ctx, ex, sc, w, start, end)
-		if err != nil {
-			s.pools.putRaw(raw)
-			return workerOut{err: err}
-		}
-		for id, piece := range out {
-			raw[id] = append(raw[id], piece)
-		}
-	}
-
-	// Per-worker pre-merge (§5.2 Step 3) keeps the main-thread merge cheap
-	// and is valid because Merge is associative. The partials map (and its
-	// piece slices) go back to the pool after the main-thread final merge.
-	partials := s.pools.getRaw()
-	t2 := time.Now()
-	merges := 0
-	for _, o := range st.outputs {
-		pieces := raw[o.b.id]
-		if len(pieces) == 0 {
-			continue
-		}
-		merged, err := s.mergePieces(o.r, pieces)
-		if err != nil {
-			s.pools.putRaw(raw)
-			s.pools.putRaw(partials)
-			return workerOut{err: s.stageErr(st, OriginMerge, fmt.Errorf("worker merge: %w", err))}
-		}
-		partials[o.b.id] = append(partials[o.b.id], merged)
-		merges++
-	}
-	s.pools.putRaw(raw)
-	s.stats.add(&s.stats.MergeNS, time.Since(t2))
-	if merges > 0 {
-		s.emitMerge(ex, w, t2)
-	}
-	return workerOut{partials: partials}
 }
 
 // executeWhole runs a stage that has no split inputs — or a stage being

@@ -83,6 +83,12 @@ func saFlakyUnary(name string, sp Splitter) *Annotation {
 	}
 }
 
+// schedulerVariants runs f under both ways the runtime provisions stage
+// workers for its one batch loop: "static" dispatches onto the session's
+// resident worker pool, "dynamic" spawns a fresh goroutine per stage worker
+// (f's argument, passed as Options.DisableWorkerPool). The subtest names
+// date from when the two variants selected different batch schedulers and
+// are kept so the test ids stay stable.
 func schedulerVariants(t *testing.T, f func(t *testing.T, dynamic bool)) {
 	t.Run("static", func(t *testing.T) { f(t, false) })
 	t.Run("dynamic", func(t *testing.T) { f(t, true) })
@@ -93,7 +99,7 @@ func schedulerVariants(t *testing.T, f func(t *testing.T, dynamic bool)) {
 // stage, the call, and the batch range, carrying the panic value and stack.
 func TestPanicIsolation(t *testing.T) {
 	schedulerVariants(t, func(t *testing.T, dynamic bool) {
-		s := NewSession(Options{Workers: 2, BatchElems: 16, DynamicScheduling: dynamic})
+		s := NewSession(Options{Workers: 2, BatchElems: 16, DisableWorkerPool: dynamic})
 		n := 64
 		a, out := seq(n), make([]float64, n)
 		s.Call(panicOnNth(testLog1p, 2, "boom in annotated call"), saUnary("log1p"), n, a, out)
@@ -154,7 +160,7 @@ func TestFallbackWholeCall(t *testing.T) {
 			wantOut[i] = 2*x + 1
 		}
 
-		s := NewSession(Options{Workers: 2, BatchElems: 8, DynamicScheduling: dynamic, FallbackPolicy: FallbackWholeCall})
+		s := NewSession(Options{Workers: 2, BatchElems: 8, DisableWorkerPool: dynamic, FallbackPolicy: FallbackWholeCall})
 		s.Call(fnScale, saScale, a, 2.0)
 		// Panic mid-stage, after some batches already scaled a in place.
 		s.Call(panicOnNth(fnUnary(func(x float64) float64 { return x + 1 }), 3, "late panic"), saUnary("plus1"), n, a, out)
@@ -186,7 +192,7 @@ func TestFallbackOnSplitError(t *testing.T) {
 		var calls atomic.Int64
 		sp := flakySplitter{calls: &calls, failN: 3, mode: "error"}
 
-		s := NewSession(Options{Workers: 2, BatchElems: 8, DynamicScheduling: dynamic, FallbackPolicy: FallbackWholeCall})
+		s := NewSession(Options{Workers: 2, BatchElems: 8, DisableWorkerPool: dynamic, FallbackPolicy: FallbackWholeCall})
 		s.Call(fnUnary(func(x float64) float64 { return x * x }), saFlakyUnary("square", sp), n, a, out)
 		if err := s.EvaluateContext(context.Background()); err != nil {
 			t.Fatalf("Evaluate with fallback: %v", err)
@@ -208,7 +214,7 @@ func TestNoFallbackForLibraryError(t *testing.T) {
 	schedulerVariants(t, func(t *testing.T, dynamic bool) {
 		n := 64
 		a, out := seq(n), make([]float64, n)
-		s := NewSession(Options{Workers: 2, BatchElems: 8, DynamicScheduling: dynamic, FallbackPolicy: FallbackWholeCall})
+		s := NewSession(Options{Workers: 2, BatchElems: 8, DisableWorkerPool: dynamic, FallbackPolicy: FallbackWholeCall})
 		s.Call(errorOnNth(testLog1p, 2, "library says no"), saUnary("log1p"), n, a, out)
 		err := s.EvaluateContext(context.Background())
 		if err == nil {
@@ -301,7 +307,7 @@ func TestCancellationStopsSiblings(t *testing.T) {
 				return testLog1p(args)
 			}
 		}
-		s := NewSession(Options{Workers: 4, BatchElems: 1, DynamicScheduling: dynamic})
+		s := NewSession(Options{Workers: 4, BatchElems: 1, DisableWorkerPool: dynamic})
 		s.Call(slowThenFail(), saUnary("slow"), n, a, out)
 		err := s.EvaluateContext(context.Background())
 		if err == nil {
@@ -455,7 +461,7 @@ var saRetNil = &Annotation{
 
 // TestPedantic: the §7.1 debugging mode must report exact, descriptive
 // errors for mismatched element counts, zero elements, and nil pieces —
-// identically under static and dynamic scheduling — and must never be
+// identically whichever way workers are provisioned — and must never be
 // masked by the fallback policy.
 func TestPedantic(t *testing.T) {
 	schedulerVariants(t, func(t *testing.T, dynamic bool) {
@@ -464,7 +470,7 @@ func TestPedantic(t *testing.T) {
 			// disagree before any batch runs.
 			n := 32
 			a, b, out := seq(n), seq(n/2), make([]float64, n)
-			s := NewSession(Options{Workers: 2, Pedantic: true, DynamicScheduling: dynamic})
+			s := NewSession(Options{Workers: 2, Pedantic: true, DisableWorkerPool: dynamic})
 			s.Call(testAdd, saBinary("add"), n, a, b, out)
 			err := s.EvaluateContext(context.Background())
 			if err == nil {
@@ -481,7 +487,7 @@ func TestPedantic(t *testing.T) {
 		})
 
 		t.Run("zero elements", func(t *testing.T) {
-			s := NewSession(Options{Workers: 2, Pedantic: true, DynamicScheduling: dynamic})
+			s := NewSession(Options{Workers: 2, Pedantic: true, DisableWorkerPool: dynamic})
 			s.Call(testLog1p, saUnary("log1p"), 0, []float64{}, []float64{})
 			err := s.EvaluateContext(context.Background())
 			if err == nil {
@@ -507,7 +513,7 @@ func TestPedantic(t *testing.T) {
 					})},
 				},
 			}
-			s := NewSession(Options{Workers: 2, Pedantic: true, DynamicScheduling: dynamic})
+			s := NewSession(Options{Workers: 2, Pedantic: true, DisableWorkerPool: dynamic})
 			s.Call(func(args []any) (any, error) { return nil, nil }, sa, 16, seq(16))
 			err := s.EvaluateContext(context.Background())
 			if err == nil {
@@ -521,7 +527,7 @@ func TestPedantic(t *testing.T) {
 		t.Run("nil piece into downstream call", func(t *testing.T) {
 			n := 16
 			a := seq(n)
-			s := NewSession(Options{Workers: 2, Pedantic: true, DynamicScheduling: dynamic})
+			s := NewSession(Options{Workers: 2, Pedantic: true, DisableWorkerPool: dynamic})
 			mid := s.Call(func(args []any) (any, error) { return nil, nil }, saRetNil, a)
 			s.Call(fnAddNew, saAddNew, mid, a).Keep()
 			err := s.EvaluateContext(context.Background())
@@ -534,7 +540,7 @@ func TestPedantic(t *testing.T) {
 		})
 
 		t.Run("pedantic errors never fall back", func(t *testing.T) {
-			s := NewSession(Options{Workers: 2, Pedantic: true, DynamicScheduling: dynamic, FallbackPolicy: FallbackWholeCall})
+			s := NewSession(Options{Workers: 2, Pedantic: true, DisableWorkerPool: dynamic, FallbackPolicy: FallbackWholeCall})
 			s.Call(testLog1p, saUnary("log1p"), 0, []float64{}, []float64{})
 			if err := s.EvaluateContext(context.Background()); err == nil {
 				t.Fatal("fallback policy masked a pedantic error")
@@ -686,7 +692,7 @@ func TestRetryTransientCallReplaysBatch(t *testing.T) {
 			var calls atomic.Int64
 			a, out := seq(n), make([]float64, n)
 			s := NewSession(Options{Workers: 2, BatchElems: 8,
-				DynamicScheduling: dynamic, RetryPolicy: retry})
+				DisableWorkerPool: dynamic, RetryPolicy: retry})
 			s.Call(accumulateOnce(failOn, &calls), saUnary("acc"), n, a, out)
 			err := s.EvaluateContext(context.Background())
 			return out, s.Stats(), err
@@ -756,7 +762,7 @@ func TestRetryExhaustedEscalatesToFallback(t *testing.T) {
 
 		a := seq(n)
 		s := NewSession(Options{Workers: 2, BatchElems: 8,
-			DynamicScheduling: dynamic,
+			DisableWorkerPool: dynamic,
 			FallbackPolicy:    FallbackWholeCall,
 			RetryPolicy:       RetryPolicy{MaxAttempts: 2, Sleep: noSleep}})
 		f := s.Call(fn, sa, n, a)
@@ -1059,7 +1065,7 @@ func TestGovernorSharedBudgetTwoSessions(t *testing.T) {
 
 	run := func(dynamic bool) ([]float64, error) {
 		a, out := seq(n), make([]float64, n)
-		s := NewSession(Options{Workers: 2, Governor: g, DynamicScheduling: dynamic})
+		s := NewSession(Options{Workers: 2, Governor: g, DisableWorkerPool: dynamic})
 		for round := 0; round < 2; round++ {
 			s.Call(probed, saUnary("acc"), n, a, out)
 			if err := s.EvaluateContext(context.Background()); err != nil {

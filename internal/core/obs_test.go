@@ -51,7 +51,7 @@ func TestTracerStageOrder(t *testing.T) {
 		tr := &recordingTracer{}
 		a, out := seq(n), make([]float64, n)
 		s := NewSession(Options{Workers: 2, BatchElems: 8,
-			DynamicScheduling: dynamic, Tracer: tr})
+			DisableWorkerPool: dynamic, Tracer: tr})
 		s.Call(testLog1p, saUnary("log1p"), n, a, out)
 		s.Call(testLog1p, saUnary("log1p"), n, out, out)
 		if err := s.EvaluateContext(context.Background()); err != nil {
@@ -123,9 +123,10 @@ func TestTracerStageOrder(t *testing.T) {
 	})
 }
 
-// TestTracerWorkerLanesDisjoint: under static partitioning the per-batch
-// element ranges must tile [0, n) exactly, and each worker's ranges must be
-// disjoint from every other worker's.
+// TestTracerWorkerLanesDisjoint: the per-batch element ranges must tile
+// [0, n) exactly, each batch claimed by exactly one worker lane, and every
+// batch boundary must be a multiple of the batch size whichever worker
+// claimed it.
 func TestTracerWorkerLanesDisjoint(t *testing.T) {
 	const n = 96
 	tr := &recordingTracer{}
@@ -155,17 +156,12 @@ func TestTracerWorkerLanesDisjoint(t *testing.T) {
 	if next != n {
 		t.Fatalf("batch ranges end at %d, want %d", next, n)
 	}
-	// Static partitioning hands each worker one contiguous region: a
-	// worker's spans never interleave with another's.
-	lastWorker := int64(-1)
-	seen := map[int64]bool{}
+	if len(spans) != n/8 {
+		t.Fatalf("batches = %d, want %d (each batch claimed once)", len(spans), n/8)
+	}
 	for _, sp := range spans {
-		if sp.w != lastWorker {
-			if seen[sp.w] {
-				t.Fatalf("worker %d's region interleaves with another worker's", sp.w)
-			}
-			seen[sp.w] = true
-			lastWorker = sp.w
+		if sp.start%8 != 0 || sp.end-sp.start != 8 {
+			t.Fatalf("worker %d ran [%d,%d), want a batch at a multiple of 8", sp.w, sp.start, sp.end)
 		}
 	}
 }
@@ -340,7 +336,8 @@ func TestTracerAdmissionEvent(t *testing.T) {
 
 // TestEvaluateContextCancelMidStage: canceling the caller's context from
 // inside a library call stops the evaluation at the next batch boundary and
-// surfaces context.Canceled through the error chain — on both schedulers.
+// surfaces context.Canceled through the error chain — with pooled and
+// freshly spawned workers alike.
 func TestEvaluateContextCancelMidStage(t *testing.T) {
 	schedulerVariants(t, func(t *testing.T, dynamic bool) {
 		const n = 64
@@ -358,7 +355,7 @@ func TestEvaluateContextCancelMidStage(t *testing.T) {
 		tr := &recordingTracer{}
 		a, out := seq(n), make([]float64, n)
 		s := NewSession(Options{Workers: 1, BatchElems: 8,
-			DynamicScheduling: dynamic, Tracer: tr})
+			DisableWorkerPool: dynamic, Tracer: tr})
 		s.Call(cancelDuringCall, saUnary("log1p"), n, a, out)
 
 		err := s.EvaluateContext(ctx)

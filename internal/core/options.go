@@ -46,13 +46,6 @@ type Options struct {
 	// BatchElems, when non-zero, overrides the batch-size heuristic with a
 	// fixed number of elements per batch (used by the Fig. 6 sweep).
 	BatchElems int64
-	// DynamicScheduling replaces the paper's static contiguous partitioning
-	// (§5.2 Step 1) with dynamic batch claiming: workers atomically take
-	// the next unprocessed batch, Cilk-style. The paper chose static
-	// partitioning for simplicity and found similar results; this option
-	// exists for the ablation. Results are identical either way — output
-	// pieces are merged in batch order.
-	DynamicScheduling bool
 	// DisablePipelining makes every annotated call its own stage: data is
 	// still split and parallelized, but merged between calls. This is the
 	// Mozart(-pipe) ablation of Table 4.
@@ -162,12 +155,13 @@ type Options struct {
 	// the OS temp dir. Spill files are CRC-checked, crash-safe (orphans
 	// from dead processes are sweepable), and removed at stage finale.
 	SpillDir string
-	// WorkerPool, when set, is the persistent worker pool the static,
-	// dynamic, and streaming executors dispatch stage work onto instead of
-	// spawning fresh goroutines per stage. Defaults to a session-private
-	// pool sized at Workers; share one pool across sessions to bound the
-	// process's total worker count. See WorkerPool and Stats.WorkerSpawns
-	// (zero spawns across steady-state evaluations is the reuse proof).
+	// WorkerPool, when set, is the persistent worker pool the batch loop
+	// (in-memory stages and streaming windows alike) dispatches stage work
+	// onto instead of spawning fresh goroutines per stage. Defaults to a
+	// session-private pool sized at Workers; share one pool across
+	// sessions to bound the process's total worker count. See WorkerPool
+	// and Stats.WorkerSpawns (zero spawns across steady-state evaluations
+	// is the reuse proof).
 	WorkerPool *WorkerPool
 	// DisableWorkerPool reverts to the pre-pool behaviour of spawning a
 	// fresh goroutine per stage worker. Mostly useful for A/B measurement;

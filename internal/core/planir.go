@@ -37,9 +37,6 @@ func (s *Session) buildIR(p *plan) *ir.Plan {
 		Batch:      s.opts.batchPolicy(),
 		Pipelining: !s.opts.DisablePipelining,
 	}
-	if s.opts.DynamicScheduling {
-		out.Mode = ir.ScheduleDynamic
-	}
 	out.Stages = make([]ir.Stage, len(p.stages))
 	for si := range p.stages {
 		out.Stages[si] = s.stageIR(&p.stages[si])

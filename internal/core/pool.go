@@ -2,27 +2,35 @@ package core
 
 import "sync"
 
-// sessionPools is the sync.Pool-backed scratch reuse layer for the hot
-// path. Every per-evaluation buffer the executor used to allocate fresh —
-// per-worker env/args scratch, piece-collection maps, workerOut result
-// slices, merge piece slices — cycles through these pools instead, so a
-// session's second and later evaluations run the split→call→merge loop
-// without heap growth. Pools are per-Session (created in NewSession), so
-// buffers can never migrate between concurrent sessions by construction;
-// the poison mode exists to prove no code path *retains* a buffer after
-// returning it.
+// sessionPools is the session-owned scratch reuse layer for the hot path.
+// Per-worker scratch (env map, output and argument buffers) and the
+// per-stage batch piece tables cycle through plain free lists instead of
+// being allocated per batch, so a session's second and later evaluations
+// run the split→call→merge loop without heap growth. The free lists are
+// ordinary slices behind a mutex that the runtime does not register (no
+// victim cache), so when a session becomes unreachable its scratch — and
+// the buffers its view slots alias — are garbage at the next GC cycle.
+// Buffers can never migrate between sessions; the poison mode exists to
+// prove no code path *retains* a buffer after returning it.
 type sessionPools struct {
 	// poison, when true (Options.PoisonPools), overwrites the slots of
-	// every returned buffer with a sentinel value before pooling it. Any
-	// code path that kept a reference past the put sees poisonedBuffer{}
+	// every returned buffer with a sentinel value before reuse. Any code
+	// path that kept a reference past the put sees poisonedBuffer{}
 	// instead of its data and fails loudly (type asserts miss, results
 	// corrupt deterministically). Debug mode for the leak tests.
 	poison bool
 
-	scratch sync.Pool // *workerScratch
-	outs    sync.Pool // *[]workerOut
-	anys    sync.Pool // *[]any
-	raws    sync.Pool // *map[int][]any
+	mu      sync.Mutex
+	scratch []*workerScratch
+	anys    [][]any
+
+	// views holds the SplitView reuse slots per stage input, indexed by
+	// batch. Only the evaluating goroutine touches the map (before a stage
+	// fans out, and in sweepViews); workers write only the slots of the
+	// batches they claimed. gen numbers evaluations so sweepViews can drop
+	// slots the latest evaluation did not use.
+	views map[viewKey]viewSlots
+	gen   uint64
 }
 
 // poisonedBuffer is the sentinel written into returned buffers under
@@ -31,30 +39,58 @@ type sessionPools struct {
 type poisonedBuffer struct{}
 
 func newSessionPools(poison bool) *sessionPools {
-	return &sessionPools{poison: poison}
+	return &sessionPools{poison: poison, views: map[viewKey]viewSlots{}}
 }
 
-// viewKey identifies one SplitView reuse slot: the piece most recently
-// produced for input index in over element range [start, end). Keys recur
-// across evaluations of the same plan shape, which is exactly when the
-// previous piece is still the right view and can be returned unboxed.
-type viewKey struct {
-	in         int
-	start, end int64
+// viewKey names one stage input's SplitView reuse slots.
+type viewKey struct{ stage, in int }
+
+// viewSlots are one stage input's reuse slots, one per batch index: the
+// piece most recently produced for that batch. Batch boundaries are fixed
+// multiples of the batch size, so a slot recurs across evaluations of the
+// same plan shape — exactly when the previous piece is still the right
+// view and comes back unboxed. Stale slots are revalidated by the splitter
+// (a view of the wrong storage or range is rebuilt).
+type viewSlots struct {
+	gen   uint64
+	slots []any
+}
+
+// viewSlotsFor returns stage si's reuse slots for input in, sized n. It is
+// called on the evaluating goroutine before the stage fans out.
+func (p *sessionPools) viewSlotsFor(si, in, n int) []any {
+	k := viewKey{si, in}
+	vs := p.views[k]
+	if cap(vs.slots) < n {
+		vs.slots = make([]any, n)
+	} else {
+		clear(vs.slots[n:cap(vs.slots)])
+		vs.slots = vs.slots[:n]
+	}
+	vs.gen = p.gen
+	p.views[k] = vs
+	return vs.slots
+}
+
+// sweepViews ends an evaluation: it drops the reuse slots of stage inputs
+// the evaluation did not run, so the slots pin at most the latest
+// evaluation's buffers.
+func (p *sessionPools) sweepViews() {
+	for k, vs := range p.views {
+		if vs.gen != p.gen {
+			delete(p.views, k)
+		}
+	}
+	p.gen++
 }
 
 // workerScratch is the reusable per-worker state for the batch hot loop:
 // the env map threading pieces between pipelined calls, the per-batch
-// output map, per-call argument buffers, and the SplitView reuse slots.
-// Scratches are pooled across stages and evaluations; the views map is
-// deliberately never cleared — stale entries are revalidated by the
-// splitter (a view of the wrong storage or range fails the alias check and
-// is rebuilt), and hits are what make the steady state allocation-free.
+// output pieces, and per-call argument buffers.
 type workerScratch struct {
-	env   map[int]any
-	out   map[int]any
-	args  [][]any
-	views map[viewKey]any
+	env  map[int]any
+	out  []any
+	args [][]any
 }
 
 // argsFor returns the scratch argument slice for call index ci, sized n.
@@ -69,94 +105,77 @@ func (sc *workerScratch) argsFor(ci, n int) []any {
 	return sc.args[ci]
 }
 
+// outFor returns the scratch output slice, sized n (one piece per stage
+// output).
+func (sc *workerScratch) outFor(n int) []any {
+	if cap(sc.out) < n {
+		sc.out = make([]any, n)
+	}
+	sc.out = sc.out[:n]
+	return sc.out
+}
+
 func (p *sessionPools) getScratch() *workerScratch {
-	if sc, ok := p.scratch.Get().(*workerScratch); ok {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.scratch); n > 0 {
+		sc := p.scratch[n-1]
+		p.scratch[n-1] = nil
+		p.scratch = p.scratch[:n-1]
 		return sc
 	}
-	return &workerScratch{
-		env:   map[int]any{},
-		out:   map[int]any{},
-		views: map[viewKey]any{},
-	}
+	return &workerScratch{env: map[int]any{}}
 }
 
 func (p *sessionPools) putScratch(sc *workerScratch) {
 	clear(sc.env)
-	clear(sc.out)
+	p.scrub(sc.out[:cap(sc.out)])
 	for _, args := range sc.args {
-		for i := range args {
-			if p.poison {
-				args[i] = poisonedBuffer{}
-			} else {
-				args[i] = nil
-			}
-		}
+		p.scrub(args)
 	}
-	// sc.views intentionally survives: entries are revalidated on reuse.
-	p.scratch.Put(sc)
-}
-
-// getOuts returns a zeroed []workerOut of length n.
-func (p *sessionPools) getOuts(n int) []workerOut {
-	if bp, ok := p.outs.Get().(*[]workerOut); ok && cap(*bp) >= n {
-		buf := (*bp)[:n]
-		for i := range buf {
-			buf[i] = workerOut{}
-		}
-		return buf
-	}
-	return make([]workerOut, n)
-}
-
-func (p *sessionPools) putOuts(buf []workerOut) {
-	for i := range buf {
-		buf[i] = workerOut{}
-	}
-	p.outs.Put(&buf)
+	p.mu.Lock()
+	p.scratch = append(p.scratch, sc)
+	p.mu.Unlock()
 }
 
 // getAnys returns a zeroed []any of length n.
 func (p *sessionPools) getAnys(n int) []any {
-	if bp, ok := p.anys.Get().(*[]any); ok && cap(*bp) >= n {
-		buf := (*bp)[:n]
-		for i := range buf {
-			buf[i] = nil
+	p.mu.Lock()
+	for i := len(p.anys) - 1; i >= 0; i-- {
+		if buf := p.anys[i]; cap(buf) >= n {
+			last := len(p.anys) - 1
+			p.anys[i] = p.anys[last]
+			p.anys[last] = nil
+			p.anys = p.anys[:last]
+			p.mu.Unlock()
+			buf = buf[:n]
+			clear(buf)
+			return buf
 		}
-		return buf
 	}
+	p.mu.Unlock()
 	return make([]any, n)
 }
 
 func (p *sessionPools) putAnys(buf []any) {
-	for i := range buf {
-		if p.poison {
-			buf[i] = poisonedBuffer{}
-		} else {
-			buf[i] = nil
-		}
-	}
-	p.anys.Put(&buf)
-}
-
-func (p *sessionPools) getRaw() map[int][]any {
-	if m, ok := p.raws.Get().(map[int][]any); ok {
-		return m
-	}
-	return map[int][]any{}
-}
-
-func (p *sessionPools) putRaw(m map[int][]any) {
-	if m == nil {
+	if cap(buf) == 0 {
 		return
 	}
-	if p.poison {
-		for id, pieces := range m {
-			for i := range pieces {
-				pieces[i] = poisonedBuffer{}
-			}
-			m[id] = pieces
-		}
+	buf = buf[:cap(buf)]
+	p.scrub(buf)
+	p.mu.Lock()
+	p.anys = append(p.anys, buf)
+	p.mu.Unlock()
+}
+
+// scrub drops a returned buffer's references: nil normally, the poison
+// sentinel under poison mode.
+func (p *sessionPools) scrub(buf []any) {
+	if !p.poison {
+		clear(buf)
+		return
 	}
-	clear(m)
-	p.raws.Put(m)
+	for i := range buf {
+		buf[i] = poisonedBuffer{}
+	}
 }

@@ -217,7 +217,7 @@ func TestPoisonPoolsConcurrentSessions(t *testing.T) {
 			a, b := seq(n), seq(n)
 			opts := Options{Workers: 1 + g%4, BatchElems: 37, PoisonPools: true}
 			if g%2 == 1 {
-				opts.DynamicScheduling = true
+				opts.DisableWorkerPool = true
 			}
 			s := NewSession(opts)
 			for it := 0; it < iters; it++ {
@@ -257,21 +257,21 @@ func TestPoisonPoolsConcurrentSessions(t *testing.T) {
 // under poison mode: the merge scratch that carries mutated pieces back must
 // be consumed before it is poisoned and pooled.
 func TestPoisonPoolsMutWriteBack(t *testing.T) {
-	for _, dyn := range []bool{false, true} {
+	for _, workers := range []int{1, 3} {
 		m := newTestMatrix(24, 18)
 		ref := m.clone()
 		fnNormalizeAxis([]any{ref, 1})
-		s := NewSession(Options{Workers: 3, BatchElems: 5, PoisonPools: true, DynamicScheduling: dyn})
+		s := NewSession(Options{Workers: workers, BatchElems: 5, PoisonPools: true})
 		fut := s.Track(m)
 		s.Call(fnNormalizeAxis, saNormalizeAxis, m, 1)
 		v, err := fut.Get()
 		if err != nil {
-			t.Fatalf("dyn=%v: %v", dyn, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		got := v.(*testMatrix)
 		for i := range got.data {
 			if got.data[i] != ref.data[i] {
-				t.Fatalf("dyn=%v: write-back corrupt at %d", dyn, i)
+				t.Fatalf("workers=%d: write-back corrupt at %d", workers, i)
 			}
 		}
 	}

@@ -146,14 +146,14 @@ func (s *Session) snapshotBatch(ex *stageExec, start, end int64) (func() error, 
 // pieces) with exponential, deterministically jittered backoff; permanent
 // faults, exhausted attempts, and canceled contexts return the last error to
 // the normal escalation path.
-func (s *Session) runBatchResilient(ctx context.Context, ex *stageExec, sc *workerScratch, w int, start, end int64) (map[int]any, error) {
+func (s *Session) runBatchResilient(ctx context.Context, ex *stageExec, sc *workerScratch, w, idx int, start, end int64) ([]any, error) {
 	pol := s.opts.RetryPolicy
 	if !pol.enabled() {
-		return s.runBatch(ex, sc, w, start, end, 1)
+		return s.runBatch(ex, sc, w, idx, start, end, 1)
 	}
 	restore, snapErr := s.snapshotBatch(ex, start, end)
 	for attempt := 1; ; attempt++ {
-		out, err := s.runBatch(ex, sc, w, start, end, attempt)
+		out, err := s.runBatch(ex, sc, w, idx, start, end, attempt)
 		if err == nil {
 			return out, nil
 		}

@@ -42,12 +42,13 @@ func TestInPlacePipeline(t *testing.T) {
 	if st.Stages != 1 {
 		t.Errorf("want 1 stage (fully pipelined), got %d", st.Stages)
 	}
-	// 4 workers x 250 elems each at batch 100 -> 3 batches per worker.
-	if st.Batches != 12 {
-		t.Errorf("want 12 batches for 1000 elems, 4 workers, batch 100, got %d", st.Batches)
+	// Batches sit at fixed multiples of 100 whatever the worker count:
+	// ceil(1000/100) = 10 batches.
+	if st.Batches != 10 {
+		t.Errorf("want 10 batches for 1000 elems at batch 100, got %d", st.Batches)
 	}
-	if st.Calls != 36 {
-		t.Errorf("want 36 piece calls (3 fns x 12 batches), got %d", st.Calls)
+	if st.Calls != 30 {
+		t.Errorf("want 30 piece calls (3 fns x 10 batches), got %d", st.Calls)
 	}
 }
 
@@ -490,10 +491,10 @@ func TestLogging(t *testing.T) {
 	}
 }
 
-// TestDynamicSchedulingEquivalence: work-stealing batch claiming produces
-// results identical to static partitioning, including ordered merges and
-// reductions, across worker counts.
-func TestDynamicSchedulingEquivalence(t *testing.T) {
+// TestBatchClaimingEquivalence: batch claiming (workers take the next batch
+// from an atomic counter) produces the sequential results, including
+// ordered merges and reductions, across worker counts.
+func TestBatchClaimingEquivalence(t *testing.T) {
 	a, b := seq(2311), seq(2311)
 	ref := func() []float64 {
 		out := make([]float64, len(a))
@@ -503,7 +504,7 @@ func TestDynamicSchedulingEquivalence(t *testing.T) {
 		return out
 	}()
 	for _, workers := range []int{1, 3, 8} {
-		s := NewSession(Options{Workers: workers, BatchElems: 97, DynamicScheduling: true})
+		s := NewSession(Options{Workers: workers, BatchElems: 97})
 		c := s.Call(fnAddNew, saAddNew, a, b)
 		d := s.Call(fnAddNew, saAddNew, c, c).Keep() // read below despite in-stage consumer
 		sum := s.Call(fnSum, saSum, d)
@@ -512,7 +513,7 @@ func TestDynamicSchedulingEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !almostEqual(got, ref) {
-			t.Fatalf("workers=%d: dynamic scheduling result mismatch", workers)
+			t.Fatalf("workers=%d: result mismatch", workers)
 		}
 		want := 0.0
 		for _, x := range ref {
@@ -523,18 +524,18 @@ func TestDynamicSchedulingEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if math.Abs(gotSum-want) > 1e-7*(1+want) {
-			t.Fatalf("workers=%d: dynamic reduction mismatch", workers)
+			t.Fatalf("workers=%d: reduction mismatch", workers)
 		}
 	}
 }
 
-// TestDynamicSchedulingMutWriteBack: copying splitters write back correctly
-// under dynamic scheduling.
-func TestDynamicSchedulingMutWriteBack(t *testing.T) {
+// TestBatchClaimingMutWriteBack: copying splitters write back correctly
+// when batches are claimed out of order.
+func TestBatchClaimingMutWriteBack(t *testing.T) {
 	m := newTestMatrix(40, 30)
 	ref := m.clone()
 	fnNormalizeAxis([]any{ref, 1})
-	s := NewSession(Options{Workers: 4, BatchElems: 3, DynamicScheduling: true})
+	s := NewSession(Options{Workers: 4, BatchElems: 3})
 	fut := s.Track(m)
 	s.Call(fnNormalizeAxis, saNormalizeAxis, m, 1)
 	v, err := fut.Get()
@@ -549,11 +550,11 @@ func TestDynamicSchedulingMutWriteBack(t *testing.T) {
 	}
 }
 
-// TestDynamicSchedulingErrors: function errors surface under dynamic
-// scheduling too.
-func TestDynamicSchedulingErrors(t *testing.T) {
+// TestBatchClaimingErrors: function errors surface from whichever worker
+// claimed the failing batch.
+func TestBatchClaimingErrors(t *testing.T) {
 	bad := func(args []any) (any, error) { return nil, errors.New("dyn boom") }
-	s := NewSession(Options{Workers: 3, BatchElems: 10, DynamicScheduling: true})
+	s := NewSession(Options{Workers: 3, BatchElems: 10})
 	f := s.Call(bad, saFilterPos, seq(100))
 	if _, err := f.Get(); err == nil || !strings.Contains(err.Error(), "dyn boom") {
 		t.Fatalf("want dyn boom, got %v", err)

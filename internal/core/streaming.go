@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"mozart/internal/obs"
@@ -191,15 +190,16 @@ func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, i
 			lo, hi = 0, wlen
 		}
 
-		partials, err := s.runRange(ctx, wex, lo, hi, batch, workers)
+		bp, err := s.runRange(ctx, wex, lo, hi, batch, workers)
 		if err != nil {
 			return err
 		}
+		defer s.pools.putAnys(bp.buf)
 
 		t1 := time.Now()
 		merges := 0
 		for oi, out := range st.outputs {
-			ps := partials[out.b.id]
+			ps := bp.output(oi)
 			if len(ps) == 0 {
 				continue
 			}
@@ -238,7 +238,7 @@ func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, i
 		}
 		s.stats.add(&s.stats.MergeNS, time.Since(t1))
 		if merges > 0 {
-			s.emitMerge(ex, obs.RuntimeLane, t1)
+			s.emitMerge(ex, t1)
 		}
 		return nil
 	}
@@ -307,66 +307,4 @@ func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, i
 	// the governor's level returns to normal (MaxLevel keeps the episode).
 	s.notePressure(g, si, ex.calls, PressureNormal)
 	return nil
-}
-
-// runRange executes [lo, hi) of a stage with static contiguous partitioning
-// across workers — the window-scoped core of the static scheduler — and
-// returns, per output binding id, the worker partials in element order.
-func (s *Session) runRange(ctx context.Context, ex *stageExec, lo, hi, batch int64, workers int) (map[int][]any, error) {
-	total := hi - lo
-	if total <= 0 {
-		return map[int][]any{}, nil
-	}
-	if int64(workers) > total {
-		workers = int(total)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	per := total / int64(workers)
-	rem := total % int64(workers)
-
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := s.pools.getOuts(workers)
-	var wg sync.WaitGroup
-	cur := lo
-	for w := 0; w < workers; w++ {
-		chunkHi := cur + per
-		if int64(w) < rem {
-			chunkHi++
-		}
-		wg.Add(1)
-		w, wlo, whi := w, cur, chunkHi
-		s.spawn(func() {
-			defer wg.Done()
-			s.workerLoop(wctx, ex, func() {
-				results[w] = s.runWorker(wctx, ex, w, wlo, whi, batch)
-			})
-			if results[w].err != nil {
-				cancel()
-			}
-		})
-		cur = chunkHi
-	}
-	wg.Wait()
-
-	errs := make([]error, len(results))
-	for i, r := range results {
-		errs[i] = r.err
-	}
-	if err := s.firstWorkerError(ex.st, errs); err != nil {
-		return nil, err
-	}
-	out := map[int][]any{}
-	for _, o := range ex.st.outputs {
-		for _, r := range results {
-			out[o.b.id] = append(out[o.b.id], r.partials[o.b.id]...)
-		}
-	}
-	for i := range results {
-		s.pools.putRaw(results[i].partials)
-	}
-	s.pools.putOuts(results)
-	return out, nil
 }

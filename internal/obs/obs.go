@@ -53,8 +53,9 @@ const (
 	// bytes under the §5.2 model: (End-Start) × Σ element bytes. Attempt
 	// is >1 when the batch succeeded on a retry replay.
 	EvBatch
-	// EvMerge is a merge span (§5.2 Step 3): per-worker pre-merges carry
-	// the worker lane, the final merge runs on RuntimeLane.
+	// EvMerge is a merge span (§5.2 Step 3) on RuntimeLane: one per split
+	// stage, merging each output's batch pieces in batch order, or one per
+	// streaming window.
 	EvMerge
 	// EvRetry is an instant preceding a batch replay: Attempt numbers the
 	// failed attempt, Detail carries the transient error.

@@ -5,21 +5,21 @@
 //
 // Per signature, the Tuner runs a four-phase state machine:
 //
-//	static ──baseline measured──▶ sweeping ──converged──▶ calibrated
-//	                                  │                        │
-//	                                  └──no win over static────┴──>10% drop──▶ reverted
+//		static ──baseline measured──▶ sweeping ──converged──▶ calibrated
+//		                                  │                        │
+//		                                  └──no win over static────┴──>10% drop──▶ reverted
 //
-//   - static: the session's policy runs untouched while the Tuner records a
-//     baseline throughput.
-//   - sweeping: a golden-section search over a powers-of-two batch grid
-//     (the paper's Fig. 6 ablation as an online loop). Each evaluation runs
-//     one probe batch; Observe records its throughput and advances the
-//     interval. The search converges within Config.Budget evaluations.
-//   - calibrated: the best probe won over the static baseline by at least
-//     the hysteresis margin and is now pinned. Throughput stays monitored;
-//     two consecutive observations more than Config.RegressionGuard below
-//     the sweep's best revert the signature to static for good.
-//   - reverted: the static policy, permanently (no re-sweeping churn).
+//	  - static: the session's policy runs untouched while the Tuner records a
+//	    baseline throughput.
+//	  - sweeping: a golden-section search over a powers-of-two batch grid
+//	    (the paper's Fig. 6 ablation as an online loop). Each evaluation runs
+//	    one probe batch; Observe records its throughput and advances the
+//	    interval. The search converges within Config.Budget evaluations.
+//	  - calibrated: the best probe won over the static baseline by at least
+//	    the hysteresis margin and is now pinned. Throughput stays monitored;
+//	    two consecutive observations more than Config.RegressionGuard below
+//	    the sweep's best revert the signature to static for good.
+//	  - reverted: the static policy, permanently (no re-sweeping churn).
 //
 // Determinism: the Tuner takes an injectable clock and a seed (the seed
 // picks the first golden probe), and its zero value is inert — PlanBatch

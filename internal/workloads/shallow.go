@@ -1,7 +1,6 @@
 package workloads
 
 import (
-
 	"mozart/internal/annotations/tensorsa"
 	"mozart/internal/annotations/vmathsa"
 	"mozart/internal/core"

@@ -280,15 +280,10 @@ type BatchPolicy = plan.BatchPolicy
 // StageKind says how a PlanStage executes (split or whole).
 type StageKind = plan.StageKind
 
-// ScheduleMode selects how batches are handed to workers.
-type ScheduleMode = plan.ScheduleMode
-
 // Plan IR enum values.
 const (
-	StageSplit      = plan.StageSplit
-	StageWhole      = plan.StageWhole
-	ScheduleStatic  = plan.ScheduleStatic
-	ScheduleDynamic = plan.ScheduleDynamic
+	StageSplit = plan.StageSplit
+	StageWhole = plan.StageWhole
 )
 
 // BatchSource is the pluggable batch/worker selection seam consulted by
