@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -316,5 +318,65 @@ func TestSpanRecorderConcurrent(t *testing.T) {
 	// root + session + stage + 200 batches
 	if len(tr.Spans) != 203 {
 		t.Fatalf("got %d spans, want 203", len(tr.Spans))
+	}
+}
+
+// TestSpanRecorderGolden pins the span names, attrs, ids and tree shape
+// SpanRecorder derives from every event kind: fixedFeed plus the kinds it
+// lacks (counters, pressure, spill, tune), under a fixed trace context.
+// The root span's wall-clock times are normalized; everything else comes
+// from the feed. Both renderings are locked, since OTLP/JSON is what
+// serving clients parse. Regenerate with `go test ./internal/obs -update`
+// only after an intentional change to the span model.
+func TestSpanRecorderGolden(t *testing.T) {
+	base := time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)
+	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
+	feed := fixedFeed(base)
+	end := feed[len(feed)-1]
+	feed = append(feed[:len(feed)-1],
+		Event{Kind: EvStageCounters, Time: at(12), Stage: 0, Worker: RuntimeLane, Calls: "a -> b",
+			Counters: CacheCounters{L1Hits: 10, L1Misses: 2, DRAMBytes: 4096, ModelNS: 1500}},
+		Event{Kind: EvPressure, Time: at(12), Stage: 0, Worker: RuntimeLane, Calls: "a -> b",
+			Detail: "constrained", Bytes: 1 << 20},
+		Event{Kind: EvSpill, Time: at(12), Stage: 0, Worker: RuntimeLane, Start: 0, End: 50,
+			Detail: "append", Bytes: 400},
+		Event{Kind: EvTune, Time: at(12), Dur: 11 * time.Millisecond, Stage: -1, Worker: RuntimeLane,
+			Detail: "calibrated", BatchElems: 50, Workers: 2, Elems: 100, Bytes: 1600},
+		end)
+
+	tc, _ := ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	rec := NewSpanRecorder(tc, "POST /v1/eval")
+	for _, e := range feed {
+		rec.Emit(e)
+	}
+	rec.Annotate("tenant", "alpha")
+	rec.AnnotateInt("http.status_code", 200)
+	tr := rec.Finish("")
+	if tr.Spans[0].SpanID != tr.Root {
+		t.Fatal("root span must lead the trace")
+	}
+	tr.Spans[0].Start, tr.Spans[0].End = base, at(13)
+
+	var buf bytes.Buffer
+	if _, err := tr.RenderTree(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("---\n")
+	if err := tr.WriteOTLP(&buf, "mozartd"); err != nil {
+		t.Fatal(err)
+	}
+
+	golden := filepath.Join("testdata", "spanrecorder.golden")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("span recorder output differs from %s;\ngot:\n%s", golden, buf.String())
 	}
 }
