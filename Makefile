@@ -1,38 +1,28 @@
 # Developer and CI entry points. `make ci` is what the GitHub Actions
-# workflow runs: vet (fail fast), the deprecation gate, build, plain tests,
-# the race detector over the runtime-heavy packages, the flakiness gate (the
-# fault-tolerance suites twice under -race, so a nondeterministic
-# retry/breaker/admission test cannot land green), the zero-copy pool
-# smoke (AllocsPerRun, alias checks, leak suite), the faults-experiment
-# smoke, the telemetry smokes (trace, explain, Prometheus golden, bench
+# workflow runs: vet (fail fast), build, plain tests, the race detector
+# over the runtime-heavy packages, the flakiness gate (the fault-tolerance
+# suites twice under -race, so a nondeterministic retry/breaker/admission
+# test cannot land green), the zero-copy pool smoke (AllocsPerRun, alias
+# checks, leak suite), the faults-experiment smoke, the telemetry smokes
+# (span-recorded Chrome trace, explain, Prometheus golden, bench
 # snapshot), the out-of-core spill smoke, the adaptive-planner tune smoke
 # (online batch calibration vs the static heuristic), the mozartd
-# serve smoke (boot, shed, SIGTERM drain), and the observability smoke
+# serve smoke (boot, shed, SIGTERM drain), the observability smoke
 # (traceparent echo, span trees, OpenMetrics exemplars, burn rates,
-# trace-keyed flight lookup).
+# trace-keyed flight lookup), and the fuzz smoke over the untrusted
+# traceparent decoder.
 
 GO ?= go
 
-.PHONY: ci vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-smoke bench-snapshot bench serve-smoke slo-smoke spill-smoke tune-smoke soak
+.PHONY: ci vet build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-smoke bench-snapshot bench serve-smoke slo-smoke spill-smoke tune-smoke soak fuzz-smoke
 
-ci: vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke tune-smoke serve-smoke slo-smoke
+ci: vet build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke tune-smoke serve-smoke slo-smoke fuzz-smoke
 
 # vet also gates formatting: any file gofmt would rewrite fails the step.
 vet:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; \
-	fi
-
-# Deprecation gate: new uses of deprecated APIs (Session.Evaluate, the
-# Stats type alias) fail CI. Prefers staticcheck's SA1019 when installed;
-# falls back to the repo's dependency-free AST checker otherwise.
-deprecations:
-	@if command -v staticcheck >/dev/null 2>&1; then \
-		echo "deprecations: staticcheck -checks SA1019 ./..."; \
-		staticcheck -checks SA1019 ./... ; \
-	else \
-		$(GO) run ./cmd/depcheck ; \
 	fi
 
 build:
@@ -81,6 +71,12 @@ serve-smoke:
 slo-smoke:
 	$(GO) run ./cmd/mozartd -slo-smoke
 
+# Fuzz the W3C traceparent decoder (the first parser of untrusted request
+# headers) for a bounded time: it must never panic, accepted contexts must
+# round-trip through Traceparent(), and accepted ids are never all-zero.
+fuzz-smoke:
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime=10s
+
 # The multi-tenant chaos soak on its own: concurrent tenants through fault
 # injection (transient faults + seeded latency) under the race detector.
 soak:
@@ -90,9 +86,9 @@ soak:
 smoke-faults:
 	$(GO) run ./cmd/sabench -experiment faults
 
-# Smoke-run the observability layer: trace two workloads, write Chrome
-# trace JSON, and re-parse it (the experiment exits non-zero on malformed
-# or empty traces).
+# Smoke-run the observability layer: record two workloads with the span
+# recorder, render each trace as Chrome trace JSON, and re-parse it (the
+# experiment exits non-zero on malformed or empty traces).
 trace-smoke:
 	$(GO) run ./cmd/sabench -experiment trace -scalediv 8
 

@@ -1,5 +1,5 @@
 // Command mozart-demo shows the Mozart runtime working on a small pipeline
-// with call logging enabled: graph capture, stage planning, batched
+// with optional piece logging: graph capture, stage planning, batched
 // pipelined execution, and lazy evaluation on access.
 package main
 
@@ -11,19 +11,30 @@ import (
 	"mozart/internal/annotations/vmathsa"
 	"mozart/internal/core"
 	"mozart/internal/data"
+	"mozart/internal/obs"
 	"mozart/internal/plan"
 )
+
+// pieceLog is the -v tracer: one line per executed batch, naming the
+// stage's pipelined calls and the batch's element range.
+type pieceLog struct{}
+
+func (pieceLog) Emit(e obs.Event) {
+	if e.Kind == obs.EvBatch {
+		log.Printf("mozart: stage %d calls %s on elements [%d,%d)", e.Stage, e.Calls, e.Start, e.End)
+	}
+}
 
 func main() {
 	n := flag.Int("n", 1<<16, "vector length")
 	workers := flag.Int("workers", 4, "worker threads")
 	batch := flag.Int64("batch", 0, "batch elements (0 = C*L2 heuristic)")
-	verbose := flag.Bool("v", false, "log every piece-level call")
+	verbose := flag.Bool("v", false, "log every batch's calls and element range")
 	flag.Parse()
 
 	opts := core.Options{Workers: *workers, BatchElems: *batch}
 	if *verbose {
-		opts.Logf = log.Printf
+		opts.Tracer = pieceLog{}
 	}
 	s := core.NewSession(opts)
 

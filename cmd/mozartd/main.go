@@ -79,7 +79,7 @@ func main() {
 		tuneOn     = flag.Bool("tune", false, "give each tenant a calibrating batch tuner: repeated plans sweep batch sizes online and pin the winner")
 		smoke      = flag.Bool("smoke", false, "run the boot/shed/drain smoke scenario on an ephemeral port and exit")
 		sloSmoke   = flag.Bool("slo-smoke", false, "run the tracing/SLO smoke scenario (span trees, exemplars, burn rates) on an ephemeral port and exit")
-		logJSON    = flag.Bool("log-json", false, "emit the per-request summary log lines as JSON (default: logfmt-style text)")
+		logJSON    = flag.Bool("log-json", false, "emit the server's log lines (per-request summaries, lifecycle errors) as JSON (default: logfmt-style text)")
 		sloLatency = flag.Duration("slo-latency", 500*time.Millisecond, "per-tenant SLO latency objective: a 200 slower than this spends error budget")
 		sloAvail   = flag.Float64("slo-availability", 0.999, "per-tenant SLO availability objective in (0,1); 1-it is the error budget")
 	)
@@ -127,7 +127,6 @@ func main() {
 		Tune:              *tuneOn,
 		SLO:               serve.SLOConfig{LatencyObjective: *sloLatency, Availability: *sloAvail},
 		Logger:            slog.New(handler),
-		Logf:              logf,
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {
@@ -224,7 +223,9 @@ func runSmoke(logf func(string, ...any)) error {
 			{Name: "alpha", BudgetBytes: bigBudget},
 			{Name: "tiny", BudgetBytes: tinyBudget},
 		},
-		Logf: logf,
+		// Lifecycle errors (a passed drain deadline, a handler panic) only:
+		// the smoke's own lines narrate the scenario.
+		Logger: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError})),
 	})
 	if err != nil {
 		return err

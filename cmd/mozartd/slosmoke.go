@@ -33,8 +33,8 @@ const (
 )
 
 func runSLOSmoke(logf func(string, ...any)) error {
-	// The structured request log lands in a buffer so the scenario can
-	// assert the summary line carries the trace id.
+	// The structured server log lands in a buffer so the scenario can
+	// assert the request summary line carries the trace id.
 	var logBuf bytes.Buffer
 	srv, err := serve.New(serve.Config{
 		GlobalBudgetBytes: 128 << 20,
@@ -48,7 +48,6 @@ func runSLOSmoke(logf func(string, ...any)) error {
 				SLO: &serve.SLOConfig{LatencyObjective: time.Nanosecond, Availability: 0.999}},
 		},
 		Logger: slog.New(slog.NewJSONHandler(&logBuf, nil)),
-		Logf:   logf,
 	})
 	if err != nil {
 		return err

@@ -180,7 +180,7 @@ func faults(scaleDiv int) {
 	// Memory-budget admission: the governor caps the modeled working set at
 	// a quarter of the arrays, so stages shrink their batches to fit.
 	sec, st, d1 = runPipeline(faultinject.New(0), core.Options{
-		MemoryBudgetBytes: int64(n) * 8,
+		Governor: core.NewGovernor(int64(n) * 8),
 	}, 1)
 	rows = append(rows, row{"admission (budget = n*8 bytes)", sec, st, match(d1)})
 

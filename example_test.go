@@ -32,9 +32,10 @@ func ExampleSession_EvaluateContext() {
 	// Output: out[0] = 0.0, stages = 1
 }
 
-// WithTracer attaches observability sinks to a session: here a Chrome-trace
-// sink (loadable in https://ui.perfetto.dev) and a Metrics aggregator share
-// the event stream through MultiTracer.
+// WithTracer attaches observability sinks to a session: here a span
+// recorder (its trace renders as Chrome trace JSON, loadable in
+// https://ui.perfetto.dev) and a Metrics aggregator share the event stream
+// through MultiTracer.
 func ExampleWithTracer() {
 	const n = 1 << 12
 	a, tmp := make([]float64, n), make([]float64, n)
@@ -42,11 +43,11 @@ func ExampleWithTracer() {
 		a[i], tmp[i] = 1, 1
 	}
 
-	trace := mozart.NewChromeTrace()
+	rec := mozart.NewSpanRecorder(mozart.TraceContext{}, "evaluate")
 	metrics := mozart.NewMetrics()
 	s := mozart.NewSession(mozart.WithTracer(
 		mozart.Options{Workers: 2, BatchElems: 1 << 10},
-		mozart.MultiTracer(trace, metrics)))
+		mozart.MultiTracer(rec, metrics)))
 
 	// Two elementwise calls over matching split types pipeline into one
 	// stage; each of the 4 batches flows through both calls.
@@ -56,10 +57,11 @@ func ExampleWithTracer() {
 		log.Fatal(err)
 	}
 
-	// After the run, trace.WriteFile("trace.json") saves a Perfetto-loadable
+	// After the run, rec.Finish("").WriteChrome(f) saves a Perfetto-loadable
 	// timeline with one lane per worker.
 	sn := metrics.Snapshot()
-	fmt.Printf("stages = %d, batches = %d\n", len(sn.Stages), sn.Stages[0].Batches)
+	fmt.Printf("stages = %d, batches = %d, spans = %d\n",
+		len(sn.Stages), sn.Stages[0].Batches, len(rec.Finish("").Spans))
 
-	// Output: stages = 1, batches = 4
+	// Output: stages = 1, batches = 4, spans = 9
 }

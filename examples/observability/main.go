@@ -1,12 +1,13 @@
 // Observability: trace, meter, and serve a pipelined evaluation.
 //
 // The quickstart pipeline runs again, this time with the runtime fully
-// instrumented: a ChromeTrace sink records one timeline lane per worker
-// (plus a runtime lane for planning, admission, and the final merge), a
-// Metrics sink aggregates per-stage batch counts, bytes moved under the
-// paper's §5.2 model, and cache-batch utilization, and a FlightRecorder
-// keeps the last evaluations' full event streams (plus the rendered plan)
-// for post-mortem dumps. SimulateCounters additionally lowers each
+// instrumented: a SpanRecorder records the evaluation as one span tree,
+// written out as a Chrome trace with one timeline lane per worker (plus a
+// runtime lane for planning, admission, and the final merge), a Metrics
+// sink aggregates per-stage batch counts, bytes moved under the paper's
+// §5.2 model, and cache-batch utilization, and a FlightRecorder keeps the
+// last evaluations' span trees (plus the rendered plan) for post-mortem
+// dumps. SimulateCounters additionally lowers each
 // evaluation's real plan into the memsim cache model and folds simulated
 // L1/L2/LLC hit/miss counts and DRAM traffic into the same metrics rows.
 //
@@ -17,7 +18,8 @@
 //
 //	curl localhost:8080/metrics              # Prometheus text exposition
 //	curl localhost:8080/debug/mozart/plans   # recent EXPLAIN trees
-//	curl localhost:8080/debug/mozart/trace   # Chrome trace JSON
+//	curl localhost:8080/debug/mozart/spans   # recorded traces (index)
+//	curl 'localhost:8080/debug/mozart/spans/<trace-id>?format=chrome'
 //	curl localhost:8080/debug/mozart/flight  # flight-recorder ring
 package main
 
@@ -27,9 +29,11 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"os"
 
 	"mozart"
 	"mozart/internal/annotations/vmathsa"
+	"mozart/internal/obs"
 	"mozart/internal/obs/httpdebug"
 )
 
@@ -47,7 +51,7 @@ func main() {
 		vol[i] = 2.0
 	}
 
-	trace := mozart.NewChromeTrace()
+	trace := mozart.NewSpanRecorder(mozart.NewTraceContext(), "observability")
 	metrics := mozart.NewMetrics()
 	recorder := mozart.NewFlightRecorder(4)
 	plans := httpdebug.NewPlanLog(4)
@@ -77,11 +81,18 @@ func main() {
 	}
 	fmt.Printf("mean = %.6f\n", total/n)
 
-	if err := trace.WriteFile("mozart-trace.json"); err != nil {
+	tr := trace.Finish("")
+	f, err := os.Create("mozart-trace.json")
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote mozart-trace.json (%d events) — open in https://ui.perfetto.dev\n\n",
-		trace.Events())
+	if err := tr.WriteChrome(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("wrote mozart-trace.json (%d spans) — open in https://ui.perfetto.dev\n\n", len(tr.Spans))
 	fmt.Print(metrics.String())
 
 	if *serve == "" {
@@ -89,10 +100,13 @@ func main() {
 		fmt.Print(metrics.PrometheusText())
 		return
 	}
+	spans := obs.NewSpanRing(4)
+	spans.Add(tr)
 	mux := http.NewServeMux()
 	httpdebug.Mount(mux, httpdebug.Options{
-		Metrics: metrics, Plans: plans, Trace: trace, Recorder: recorder,
+		Metrics: metrics, Plans: plans, Recorder: recorder, Spans: spans,
 	})
-	fmt.Printf("\nserving /metrics and /debug/mozart/{plans,trace,flight} on %s\n", *serve)
+	fmt.Printf("\nserving /metrics and /debug/mozart/{plans,spans,flight} on %s (trace %s)\n",
+		*serve, tr.TraceID)
 	log.Fatal(http.ListenAndServe(*serve, mux))
 }

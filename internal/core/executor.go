@@ -637,9 +637,6 @@ func (s *Session) runBatch(ex *stageExec, sc *workerScratch, w, idx int, start, 
 			}
 			args[i] = piece
 		}
-		if s.opts.Logf != nil {
-			s.opts.Logf("mozart: call %s on elements [%d,%d)", c.n.name, start, end)
-		}
 		t1 := time.Now()
 		ret, err := s.safeCall(c.n.fn, args)
 		d := time.Since(t1)
@@ -679,9 +676,6 @@ func (s *Session) executeWhole(st *planStage) error {
 				return s.stageErr(st, OriginInternal, fmt.Errorf("%s: argument %s not materialized", c.n.name, c.n.sa.Params[i].Name))
 			}
 			args[i] = b.val
-		}
-		if s.opts.Logf != nil {
-			s.opts.Logf("mozart: call %s (whole)", c.n.name)
 		}
 		t0 := time.Now()
 		ret, err := s.safeCall(c.n.fn, args)

@@ -457,7 +457,8 @@ func TestSimulateCountersEvents(t *testing.T) {
 
 // BenchmarkEvaluatePipeline measures a three-call pipelined evaluation with
 // tracing disabled (the nil-tracer fast path) and with both shipped sinks
-// attached, so the per-batch tracing overhead is visible in benchstat.
+// attached (the span recorder and metrics), so the per-batch tracing
+// overhead is visible in benchstat.
 func BenchmarkEvaluatePipeline(b *testing.B) {
 	const n = 1 << 16
 	bench := func(b *testing.B, mk func() obs.Tracer) {
@@ -476,9 +477,9 @@ func BenchmarkEvaluatePipeline(b *testing.B) {
 	b.Run("nil-tracer", func(b *testing.B) {
 		bench(b, func() obs.Tracer { return nil })
 	})
-	b.Run("chrome+metrics", func(b *testing.B) {
+	b.Run("recorder+metrics", func(b *testing.B) {
 		bench(b, func() obs.Tracer {
-			return obs.Multi(obs.NewChromeTrace(), obs.NewMetrics())
+			return obs.Multi(obs.NewSpanRecorder(obs.TraceContext{}, "bench"), obs.NewMetrics())
 		})
 	})
 }

@@ -77,15 +77,11 @@ type Options struct {
 	// with its in-place-mutated pieces restored from a pre-attempt
 	// snapshot, instead of failing the stage. See RetryPolicy.
 	RetryPolicy RetryPolicy
-	// MemoryBudgetBytes, when non-zero and Governor is nil, creates a
-	// session-private Governor with this byte budget: the session's
-	// stages are admitted against the §5.2 footprint model
-	// (workers × batch × Σ elemBytes) and shrink their batches under
-	// pressure. To bound several sessions together, share a Governor.
-	MemoryBudgetBytes int64
 	// Governor, when set, gates this session's stages against a byte
-	// budget shared with every other session holding the same Governor.
-	// Takes precedence over MemoryBudgetBytes.
+	// budget (NewGovernor): stages are admitted against the §5.2
+	// footprint model (workers × batch × Σ elemBytes) and shrink their
+	// batches under pressure. Share one Governor to bound several
+	// sessions together.
 	Governor *Governor
 	// Breakers, when set, makes the session consult and transition a
 	// shared BreakerGroup instead of a session-private breaker set: the
@@ -106,7 +102,7 @@ type Options struct {
 	// batch-size detail, per-batch spans with worker id and phase
 	// timings, retries, breaker transitions, admission waits, and
 	// fallback re-executions. See internal/obs for the taxonomy and the
-	// built-in Chrome-trace and metrics sinks. A nil Tracer (the
+	// built-in span-recorder and metrics sinks. A nil Tracer (the
 	// default) is the fast path: every emission site is nil-guarded, so
 	// disabled tracing adds no allocations to the per-batch hot loop.
 	Tracer obs.Tracer
@@ -123,17 +119,13 @@ type Options struct {
 	// labels (mozart_stage, mozart_split) so CPU profiles attribute
 	// samples to stages and split types (go tool pprof -tagfocus).
 	ProfileLabels bool
-	// Logf, when set, receives a log line per function call per split
-	// piece (the §7.1 call log). Signature matches testing.T.Logf.
-	Logf func(format string, args ...any)
 	// OnPlan, when set, receives the plan IR produced for each evaluation
 	// just before execution starts (after the plan event is emitted). The
 	// IR is a snapshot — mutating it does not affect execution. For a
 	// plan without evaluating, use Session.Plan.
 	OnPlan func(*ir.Plan)
 	// BaseContext, when set, supplies the context for evaluations forced
-	// without an explicit one — Future.Get/Value/Float64s and the
-	// deprecated Session.Evaluate. Serving setups use it to propagate a
+	// without an explicit one — Future.Get/Value/Float64s. Serving setups use it to propagate a
 	// request's deadline and disconnect-cancellation into lazy reads deep
 	// inside library wrappers that never see a context parameter. A nil
 	// function (the default) or a nil returned context means
@@ -146,7 +138,7 @@ type Options struct {
 	// merged before its bytes are released back to the Governor, and
 	// merge-side partials spill to a CRC-framed temp-file store when the
 	// stage's output splitters implement PieceCodec. Requires a Governor
-	// (or MemoryBudgetBytes); without one the option is inert. Inputs
+	// without one the option is inert. Inputs
 	// whose splitters implement SplitterAt stream as window views; other
 	// inputs stay materialized and only their split windows are driven
 	// incrementally.
@@ -217,9 +209,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchConstant <= 0 {
 		o.BatchConstant = ir.DefaultBatchConstant
-	}
-	if o.Governor == nil && o.MemoryBudgetBytes > 0 {
-		o.Governor = NewGovernor(o.MemoryBudgetBytes)
 	}
 	if o.WorkerPool == nil && !o.DisableWorkerPool {
 		o.WorkerPool = NewWorkerPool(o.Workers)

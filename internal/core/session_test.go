@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"mozart/internal/obs"
 )
 
 func newTestSession(workers int) *Session {
@@ -478,16 +480,24 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-// TestLogging: the Logf hook sees per-piece calls.
+// TestLogging: the per-piece call log (the §7.1 debugging view) is the
+// EvBatch stream — one event per split piece, naming its calls and
+// element range.
 func TestLogging(t *testing.T) {
-	var lines int
-	s := NewSession(Options{Workers: 1, BatchElems: 25, Logf: func(string, ...any) { lines++ }})
+	tr := &recordingTracer{}
+	s := NewSession(Options{Workers: 1, BatchElems: 25, Tracer: tr})
 	s.Call(fnScale, saScale, seq(100), 2.0)
 	if err := s.EvaluateContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if lines != 4 {
-		t.Errorf("want 4 logged calls (100/25), got %d", lines)
+	batches := tr.ofKind(obs.EvBatch)
+	if len(batches) != 4 {
+		t.Fatalf("want 4 logged pieces (100/25), got %d", len(batches))
+	}
+	for i, e := range batches {
+		if e.Calls == "" || e.End-e.Start != 25 {
+			t.Errorf("piece %d: calls %q range [%d,%d), want a named 25-element piece", i, e.Calls, e.Start, e.End)
+		}
 	}
 }
 
@@ -558,26 +568,5 @@ func TestBatchClaimingErrors(t *testing.T) {
 	f := s.Call(bad, saFilterPos, seq(100))
 	if _, err := f.Get(); err == nil || !strings.Contains(err.Error(), "dyn boom") {
 		t.Fatalf("want dyn boom, got %v", err)
-	}
-}
-
-// TestDeprecatedEvaluateCompat pins the deprecated zero-argument Evaluate
-// shim: it must keep behaving exactly like EvaluateContext(Background) for
-// existing callers until the alias is removed. This is the one sanctioned
-// use in the tree; everything else goes through the deprecation gate
-// (cmd/depcheck / staticcheck in make ci).
-func TestDeprecatedEvaluateCompat(t *testing.T) {
-	a := seq(64)
-	want := make([]float64, len(a))
-	for i := range want {
-		want[i] = a[i] * 2
-	}
-	s := newTestSession(2)
-	s.Call(fnScale, saScale, a, 2.0)
-	if err := s.Evaluate(); err != nil { // deprecated-ok: compat coverage
-		t.Fatal(err)
-	}
-	if !almostEqual(a, want) {
-		t.Fatalf("deprecated Evaluate produced wrong result")
 	}
 }

@@ -4,28 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
-	"sync"
+	"strings"
 	"time"
 )
-
-// ChromeTrace renders runtime events in the Chrome trace_event JSON format
-// (the "JSON Array Format" with a traceEvents wrapper), loadable in
-// chrome://tracing and https://ui.perfetto.dev. The runtime's coordinating
-// thread and each worker get their own lane: tid 0 is the runtime lane
-// (evaluate/plan/stage/merge/admission spans, breaker instants), tid w+1 is
-// worker w's lane (batch spans with nested split and task phases, retry
-// instants).
-//
-// Emit is concurrency-safe and does bounded work (one render + append under
-// a mutex); call WriteTo/WriteFile after evaluation to produce the JSON.
-type ChromeTrace struct {
-	mu     sync.Mutex
-	base   time.Time
-	events []chromeEvent
-	lanes  map[int]bool // tids seen, for thread_name metadata
-}
 
 // chromeEvent is one trace_event record. Complete spans use Ph "X" with
 // Ts/Dur in microseconds; instants use Ph "i" with scope "t" (thread).
@@ -41,136 +23,80 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// NewChromeTrace returns a sink whose timestamps are relative to now.
-func NewChromeTrace() *ChromeTrace { return NewChromeTraceAt(time.Now()) }
-
-// NewChromeTraceAt returns a sink whose timestamps are relative to base,
-// for deterministic output in tests.
-func NewChromeTraceAt(base time.Time) *ChromeTrace {
-	return &ChromeTrace{base: base, lanes: map[int]bool{}}
-}
-
-// tid maps an event's worker lane to a trace thread id.
-func tid(worker int) int {
-	if worker == RuntimeLane {
-		return 0
-	}
-	return worker + 1
-}
-
 // us converts a duration to trace microseconds.
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// Emit renders e into trace_event records.
-func (c *ChromeTrace) Emit(e Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lanes[tid(e.Worker)] = true
-
-	end := us(e.Time.Sub(c.base))
-	start := end - us(e.Dur)
-	span := func(name, cat string, args map[string]any) {
-		c.events = append(c.events, chromeEvent{
-			Name: name, Cat: cat, Ph: "X", Ts: start, Dur: us(e.Dur),
-			Pid: 1, Tid: tid(e.Worker), Args: args,
-		})
-	}
-	instant := func(name, cat string, args map[string]any) {
-		c.events = append(c.events, chromeEvent{
-			Name: name, Cat: cat, Ph: "i", Ts: end,
-			Pid: 1, Tid: tid(e.Worker), Scope: "t", Args: args,
-		})
-	}
-
-	switch e.Kind {
-	case EvSessionBegin:
-		instant("session begin", "session", map[string]any{"pending_calls": e.Elems})
-	case EvSessionEnd:
-		args := map[string]any{}
-		if e.Detail != "" {
-			args["error"] = e.Detail
+// WriteChrome renders the trace in the Chrome trace_event JSON format (the
+// "JSON Array Format" with a traceEvents wrapper), loadable in
+// chrome://tracing and https://ui.perfetto.dev. A span's lane is its
+// worker attr: tid 0 is the runtime lane (RuntimeLane, or spans without a
+// worker), tid w+1 is worker w's lane. Zero-length spans render as thread
+// instants; batch spans carry nested split and task phase spans built from
+// their split_ns/task_ns attrs. Records follow thread_name metadata naming
+// each lane, sorted by (tid, ts), with timestamps relative to the trace's
+// earliest span.
+func (t *Trace) WriteChrome(w io.Writer) error {
+	var base time.Time
+	for i, s := range t.Spans {
+		if i == 0 || s.Start.Before(base) {
+			base = s.Start
 		}
-		span("evaluate", "session", args)
-	case EvPlan:
-		span("plan", "planner", map[string]any{"stages": e.Stages, "plan": e.Detail})
-	case EvStageBegin:
-		instant(fmt.Sprintf("stage %d begin", e.Stage), "stage", map[string]any{
-			"calls": e.Calls, "split": e.Split, "elems": e.Elems,
-			"batch_elems": e.BatchElems, "workers": e.Workers,
-			"elem_bytes": e.Bytes, "cache_target_bytes": e.CacheBytes,
-		})
-	case EvStageEnd:
-		args := map[string]any{"calls": e.Calls}
-		if e.Detail != "" {
-			args["error"] = e.Detail
-		}
-		span(fmt.Sprintf("stage %d", e.Stage), "stage", args)
-	case EvBatch:
-		args := map[string]any{
-			"stage": e.Stage, "elems": e.End - e.Start, "bytes": e.Bytes,
-		}
-		if e.Attempt > 1 {
-			args["attempt"] = e.Attempt
-		}
-		span(fmt.Sprintf("batch [%d,%d)", e.Start, e.End), "batch", args)
-		// Nested phase spans: split at the front of the batch, then task.
-		// chrome://tracing nests X events by containment.
-		split := float64(e.SplitNS) / 1e3
-		task := float64(e.TaskNS) / 1e3
-		c.events = append(c.events,
-			chromeEvent{Name: "split", Cat: "phase", Ph: "X", Ts: start, Dur: split, Pid: 1, Tid: tid(e.Worker)},
-			chromeEvent{Name: "task", Cat: "phase", Ph: "X", Ts: start + split, Dur: task, Pid: 1, Tid: tid(e.Worker)},
-		)
-	case EvMerge:
-		span("merge", "phase", map[string]any{"stage": e.Stage})
-	case EvRetry:
-		instant(fmt.Sprintf("retry [%d,%d) attempt %d", e.Start, e.End, e.Attempt), "retry",
-			map[string]any{"stage": e.Stage, "error": e.Detail})
-	case EvBreaker:
-		instant(fmt.Sprintf("breaker %s: %s", e.Calls, e.Detail), "breaker",
-			map[string]any{"annotation": e.Calls, "state": e.Detail})
-	case EvAdmission:
-		span("admission wait", "admission", map[string]any{
-			"stage": e.Stage, "reserved_bytes": e.Bytes,
-			"batch_elems": e.BatchElems, "workers": e.Workers,
-		})
-	case EvFallback:
-		span(fmt.Sprintf("stage %d whole-call fallback", e.Stage), "fallback",
-			map[string]any{"fault": e.Detail})
 	}
-}
-
-// Events returns the number of rendered trace records so far.
-func (c *ChromeTrace) Events() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.events)
-}
-
-// WriteTo emits the collected records as {"traceEvents": [...]}, preceded
-// by thread_name metadata naming the runtime and worker lanes. Records are
-// sorted by (tid, ts) so output is deterministic given a deterministic
-// event feed.
-func (c *ChromeTrace) WriteTo(w io.Writer) (int64, error) {
-	c.mu.Lock()
-	events := append([]chromeEvent(nil), c.events...)
-	lanes := make([]int, 0, len(c.lanes))
-	for t := range c.lanes {
-		lanes = append(lanes, t)
+	lanes := map[int]bool{}
+	var events []chromeEvent
+	for _, s := range t.Spans {
+		tid := 0
+		var splitNS, taskNS int64
+		args := make(map[string]any, len(s.Attrs)+1)
+		for _, a := range s.Attrs {
+			if !a.IsInt {
+				args[a.Key] = a.Str
+				continue
+			}
+			args[a.Key] = a.Int
+			switch a.Key {
+			case "worker":
+				tid = int(a.Int) + 1
+			case "split_ns":
+				splitNS = a.Int
+			case "task_ns":
+				taskNS = a.Int
+			}
+		}
+		if s.Err != "" {
+			args["error"] = s.Err
+		}
+		lanes[tid] = true
+		cat, _, _ := strings.Cut(s.Name, " ")
+		e := chromeEvent{Name: s.Name, Cat: cat, Ph: "X", Ts: us(s.Start.Sub(base)),
+			Dur: us(s.Dur()), Pid: 1, Tid: tid, Args: args}
+		if e.Dur == 0 {
+			e.Ph, e.Scope = "i", "t"
+		}
+		events = append(events, e)
+		if cat == "batch" {
+			// chrome://tracing nests X events by containment: split at the
+			// front of the batch, then task.
+			split, task := float64(splitNS)/1e3, float64(taskNS)/1e3
+			events = append(events,
+				chromeEvent{Name: "split", Cat: "phase", Ph: "X", Ts: e.Ts, Dur: split, Pid: 1, Tid: tid},
+				chromeEvent{Name: "task", Cat: "phase", Ph: "X", Ts: e.Ts + split, Dur: task, Pid: 1, Tid: tid})
+		}
 	}
-	c.mu.Unlock()
 
-	sort.Ints(lanes)
-	var all []chromeEvent
-	for _, t := range lanes {
+	tids := make([]int, 0, len(lanes))
+	for tid := range lanes {
+		tids = append(tids, tid)
+	}
+	sort.Ints(tids)
+	all := make([]chromeEvent, 0, len(tids)+len(events))
+	for _, tid := range tids {
 		name := "runtime"
-		if t > 0 {
-			name = fmt.Sprintf("worker %d", t-1)
+		if tid > 0 {
+			name = fmt.Sprintf("worker %d", tid-1)
 		}
-		all = append(all, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: t,
-			Args: map[string]any{"name": name},
-		})
+		all = append(all, chromeEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
+			Args: map[string]any{"name": name}})
 	}
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].Tid != events[j].Tid {
@@ -182,22 +108,8 @@ func (c *ChromeTrace) WriteTo(w io.Writer) (int64, error) {
 
 	out, err := json.MarshalIndent(map[string]any{"traceEvents": all}, "", " ")
 	if err != nil {
-		return 0, err
-	}
-	out = append(out, '\n')
-	n, err := w.Write(out)
-	return int64(n), err
-}
-
-// WriteFile writes the trace JSON to path.
-func (c *ChromeTrace) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
 		return err
 	}
-	if _, err := c.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	_, err = w.Write(append(out, '\n'))
+	return err
 }

@@ -9,50 +9,44 @@ import (
 	"mozart/internal/plan"
 )
 
-// Flight-recorder defaults: recordings retained when the caller passes a
-// non-positive capacity, and events retained per recording before the
-// recorder starts counting drops instead of buffering.
-const (
-	defaultFlightRecordings = 8
-	defaultFlightEventCap   = 4096
-)
+// defaultFlightRecordings is the ring size when the caller passes a
+// non-positive capacity.
+const defaultFlightRecordings = 8
 
-// Recording is one completed evaluation as the flight recorder saw it:
-// the event stream (up to the event cap), the plan IR rendering, and the
-// outcome. Recordings are immutable once returned.
+// Recording is one completed evaluation as the flight recorder retains
+// it: the span tree SpanRecorder built from its events (bounded by the
+// recorder's span cap), the plan IR rendering, and the outcome.
+// Recordings are immutable once added.
 type Recording struct {
-	Seq     int64     `json:"seq"`   // recorder-wide evaluation sequence number
-	Begin   time.Time `json:"begin"` // EvSessionBegin time
-	End     time.Time `json:"end"`   // EvSessionEnd time
-	Err     string    `json:"err,omitempty"`
-	Plan    string    `json:"plan,omitempty"` // plan.Render of the evaluation's IR
-	Events  []Event   `json:"events"`
-	Dropped int       `json:"dropped,omitempty"` // events beyond the cap
-	// TraceID is the request trace the evaluation ran under (hex), taken
-	// from the session events' TraceContext stamp; empty for untraced
-	// sessions. A 500/504 response carrying a trace id resolves to its
-	// recording through FlightRecorder.Find.
+	Seq   int64     `json:"seq"`   // recorder-wide sequence number
+	Begin time.Time `json:"begin"` // the trace's root span start
+	End   time.Time `json:"end"`   // the trace's root span end
+	Err   string    `json:"err,omitempty"`
+	Plan  string    `json:"plan,omitempty"` // plan.Render of the evaluation's IR
+	// TraceID is the request trace the evaluation ran under (hex), empty
+	// for untraced sessions. A 500/504 response carrying a trace id
+	// resolves to its recording through FlightRecorder.Find.
 	TraceID string `json:"trace_id,omitempty"`
+	Trace   *Trace `json:"trace"` // the evaluation's span tree
 }
 
-// FlightRecorder retains the last N evaluations' full event streams in a
-// bounded ring, for post-hoc inspection of recent behaviour without paying
-// for unbounded trace retention. It is the black-box counterpart to the
-// Metrics sink: Metrics keeps aggregates forever, the recorder keeps raw
+// FlightRecorder retains the last N evaluations' span trees in a bounded
+// ring, for post-hoc inspection of recent behaviour without paying for
+// unbounded trace retention. It is the black-box counterpart to the
+// Metrics sink: Metrics keeps aggregates forever, the recorder keeps
 // detail briefly.
 //
-// The recorder itself is not a Tracer: concurrent sessions sharing one
-// tracer cannot be told apart (events carry no session id), so each
-// session gets its own handle via Session(), and the handle attributes
-// everything it sees to its own in-flight evaluation. Completed recordings
-// from all handles land in the shared ring.
+// The recorder itself is not a Tracer. A caller that already records a
+// trace (a serving layer's per-request SpanRecorder) commits it with Add;
+// library sessions get a per-session handle via Session(), which records
+// each of its evaluations and adds it. Recordings from every source land
+// in the one shared ring.
 type FlightRecorder struct {
-	mu       sync.Mutex
-	max      int
-	eventCap int
-	seq      int64
-	ring     []Recording // oldest first, len <= max
-	onFault  func(Recording)
+	mu      sync.Mutex
+	max     int
+	seq     int64
+	ring    []Recording // oldest first, len <= max
+	onFault func(Recording)
 }
 
 // NewFlightRecorder returns a recorder retaining the last n evaluations
@@ -61,24 +55,13 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	if n <= 0 {
 		n = defaultFlightRecordings
 	}
-	return &FlightRecorder{max: n, eventCap: defaultFlightEventCap}
-}
-
-// SetEventCap bounds the events buffered per recording; beyond it the
-// recording only counts drops. n <= 0 restores the default.
-func (r *FlightRecorder) SetEventCap(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n <= 0 {
-		n = defaultFlightEventCap
-	}
-	r.eventCap = n
+	return &FlightRecorder{max: n}
 }
 
 // OnFault registers fn to run whenever a recording completes with an
 // error (an evaluation that ended in a StageError or cancellation). fn is
-// called synchronously from the session-end emission, outside the
-// recorder's lock; keep it bounded.
+// called synchronously from Add, outside the recorder's lock; keep it
+// bounded.
 func (r *FlightRecorder) OnFault(fn func(Recording)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -96,6 +79,34 @@ func (r *FlightRecorder) AutoDump(w io.Writer) {
 		enc.SetIndent("", "  ")
 		enc.Encode(rec)
 	})
+}
+
+// Add commits a completed recording: it stamps the sequence number and
+// derives Begin, End and TraceID from rec.Trace, pushes the recording into
+// the ring (evicting the oldest at capacity), and runs the fault hook when
+// the recording carries an error.
+func (r *FlightRecorder) Add(rec Recording) {
+	if rec.Trace != nil {
+		root := rec.Trace.RootSpan()
+		rec.Begin, rec.End = root.Start, root.End
+		if !rec.Trace.TraceID.IsZero() {
+			rec.TraceID = rec.Trace.TraceID.String()
+		}
+	}
+	r.mu.Lock()
+	r.seq++
+	rec.Seq = r.seq
+	if len(r.ring) == r.max {
+		copy(r.ring, r.ring[1:])
+		r.ring[len(r.ring)-1] = rec
+	} else {
+		r.ring = append(r.ring, rec)
+	}
+	onFault := r.onFault
+	r.mu.Unlock()
+	if rec.Err != "" && onFault != nil {
+		onFault(rec)
+	}
 }
 
 // Session returns a handle for one session's evaluations. Wire the handle
@@ -142,74 +153,43 @@ func (r *FlightRecorder) Dump(w io.Writer) error {
 	return enc.Encode(r.Recordings())
 }
 
-// commit pushes a completed recording into the ring and returns the fault
-// hook to invoke (outside the lock) if the recording carries an error.
-func (r *FlightRecorder) commit(rec *Recording) func(Recording) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seq++
-	rec.Seq = r.seq
-	if len(r.ring) == r.max {
-		copy(r.ring, r.ring[1:])
-		r.ring[len(r.ring)-1] = *rec
-	} else {
-		r.ring = append(r.ring, *rec)
-	}
-	if rec.Err != "" {
-		return r.onFault
-	}
-	return nil
-}
-
 // FlightHandle records one session's evaluations into its parent
-// FlightRecorder. Emit is safe for concurrent use (workers emit batch
-// events in parallel); evaluations on one session are sequential, so the
-// handle tracks a single in-flight recording.
+// FlightRecorder: it opens a SpanRecorder at each EvSessionBegin (under
+// the event's trace context, if any), forwards the evaluation's events to
+// it, and adds the finished trace at EvSessionEnd. Emit is safe for
+// concurrent use (workers emit batch events in parallel); evaluations on
+// one session are sequential, so the handle tracks a single in-flight
+// recorder.
 type FlightHandle struct {
 	rec *FlightRecorder
 
-	mu       sync.Mutex
-	cur      *Recording
-	eventCap int // snapshot of the recorder's cap, taken at EvSessionBegin
+	mu   sync.Mutex
+	cur  *SpanRecorder
+	plan string
 }
 
 // Emit implements Tracer.
 func (h *FlightHandle) Emit(e Event) {
 	h.mu.Lock()
-	switch e.Kind {
-	case EvSessionBegin:
-		h.rec.mu.Lock()
-		h.eventCap = h.rec.eventCap
-		h.rec.mu.Unlock()
-		h.cur = &Recording{Begin: e.Time, Events: []Event{e}}
-		if e.Trace != nil && !e.Trace.TraceID.IsZero() {
-			h.cur.TraceID = e.Trace.TraceID.String()
+	if e.Kind == EvSessionBegin {
+		var tc TraceContext
+		if e.Trace != nil {
+			tc = *e.Trace
 		}
-		h.mu.Unlock()
-		return
-	case EvSessionEnd:
-		cur := h.cur
-		h.cur = nil
-		h.mu.Unlock()
-		if cur == nil {
-			return
-		}
-		cur.Events = append(cur.Events, e)
-		cur.End = e.Time
-		cur.Err = e.Detail
-		if onFault := h.rec.commit(cur); onFault != nil {
-			onFault(*cur)
-		}
-		return
+		h.cur, h.plan = NewSpanRecorder(tc, "evaluate"), ""
 	}
-	if h.cur != nil {
-		if len(h.cur.Events) < h.eventCap {
-			h.cur.Events = append(h.cur.Events, e)
-		} else {
-			h.cur.Dropped++
-		}
+	cur, rendered := h.cur, h.plan
+	if e.Kind == EvSessionEnd {
+		h.cur = nil
 	}
 	h.mu.Unlock()
+	if cur == nil {
+		return
+	}
+	cur.Emit(e)
+	if e.Kind == EvSessionEnd {
+		h.rec.Add(Recording{Err: e.Detail, Plan: rendered, Trace: cur.Finish(e.Detail)})
+	}
 }
 
 // OnPlan captures the evaluation's plan IR rendering. Wire it into the
@@ -220,6 +200,6 @@ func (h *FlightHandle) OnPlan(p *plan.Plan) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.cur != nil {
-		h.cur.Plan = rendered
+		h.plan = rendered
 	}
 }

@@ -81,7 +81,7 @@ func evalOnce(t *testing.T, h *obs.FlightHandle, fn core.Func, sp core.Splitter,
 
 // TestFlightRecorderRingBound: the ring retains exactly the last N
 // evaluations, with monotonically increasing sequence numbers, plan
-// renderings, and session brackets.
+// renderings, and span trees rooted on one session span.
 func TestFlightRecorderRingBound(t *testing.T) {
 	rec := obs.NewFlightRecorder(3)
 	h := rec.Session()
@@ -104,40 +104,24 @@ func TestFlightRecorderRingBound(t *testing.T) {
 		if !strings.Contains(r.Plan, "double") {
 			t.Errorf("recording %d plan rendering = %q, want the call pipeline", i, r.Plan)
 		}
-		if len(r.Events) < 4 {
-			t.Fatalf("recording %d has %d events", i, len(r.Events))
-		}
-		if r.Events[0].Kind != obs.EvSessionBegin || r.Events[len(r.Events)-1].Kind != obs.EvSessionEnd {
-			t.Errorf("recording %d not bracketed by session events", i)
+		if r.Trace == nil {
+			t.Fatalf("recording %d has no trace", i)
 		}
 		if r.End.Before(r.Begin) {
 			t.Errorf("recording %d ends before it begins", i)
 		}
-	}
-}
-
-// TestFlightRecorderEventCap: beyond the event cap a recording counts
-// drops instead of buffering, and the session-end event is still retained.
-func TestFlightRecorderEventCap(t *testing.T) {
-	rec := obs.NewFlightRecorder(1)
-	rec.SetEventCap(4)
-	h := rec.Session()
-	if err := evalOnce(t, h, doubleFn, chunkSplitter{}, "double"); err != nil {
-		t.Fatal(err)
-	}
-	rs := rec.Recordings()
-	if len(rs) != 1 {
-		t.Fatalf("recordings = %d", len(rs))
-	}
-	r := rs[0]
-	if len(r.Events) != 5 { // cap(4) + the always-retained session end
-		t.Errorf("events = %d, want 5", len(r.Events))
-	}
-	if r.Dropped == 0 {
-		t.Error("expected dropped events beyond the cap")
-	}
-	if r.Events[len(r.Events)-1].Kind != obs.EvSessionEnd {
-		t.Error("session end must survive the cap")
+		names := map[string]int{}
+		for _, sp := range r.Trace.Spans {
+			names[strings.Fields(sp.Name)[0]]++
+			if sp.End.Before(sp.Start) {
+				t.Errorf("recording %d span %q ends before it begins", i, sp.Name)
+			}
+		}
+		// 64 elements in batches of 8: the root, one session, one stage,
+		// eight batches.
+		if names["evaluate"] != 1 || names["session"] != 1 || names["stage"] != 1 || names["batch"] != 8 {
+			t.Errorf("recording %d span names = %v", i, names)
+		}
 	}
 }
 
@@ -198,11 +182,11 @@ func TestFlightRecorderConcurrentSessionsAndFaultDump(t *testing.T) {
 			if !strings.Contains(r.Err, "injected split fault") {
 				t.Errorf("faulting recording carries %q", r.Err)
 			}
-			// The events of the faulting recording belong to the faulting
+			// The spans of the faulting recording belong to the faulting
 			// session: per-session handles keep concurrent sessions apart.
-			for _, e := range r.Events {
-				if e.Calls != "" && !strings.Contains(e.Calls, "double-0") {
-					t.Errorf("fault recording contains another session's event: %+v", e)
+			for _, sp := range r.Trace.Spans {
+				if strings.HasPrefix(sp.Name, "stage ") && !strings.Contains(sp.Name, "double-0") {
+					t.Errorf("fault recording contains another session's span: %+v", sp)
 				}
 			}
 		}

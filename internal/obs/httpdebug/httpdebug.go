@@ -1,9 +1,9 @@
 // Package httpdebug mounts the Mozart runtime's live telemetry on a
 // caller-provided *http.ServeMux: a Prometheus /metrics endpoint over a
-// Metrics sink, the last plan IRs under /debug/mozart/plans, the Chrome
-// trace buffer under /debug/mozart/trace, the flight recorder's
-// retained evaluations under /debug/mozart/flight, and per-request span
-// trees under /debug/mozart/spans/<trace-id>.
+// Metrics sink, the last plan IRs under /debug/mozart/plans, the flight
+// recorder's retained evaluations under /debug/mozart/flight, and
+// per-request span trees under /debug/mozart/spans/<trace-id> (as a
+// tree, OTLP/JSON, or Chrome trace_event JSON).
 //
 // The package never starts a server and never touches
 // http.DefaultServeMux: the caller owns the listener, the mux, and any
@@ -38,15 +38,14 @@ type Options struct {
 	// Plans serves GET /debug/mozart/plans: the retained plan renderings,
 	// newest last.
 	Plans *PlanLog
-	// Trace serves GET /debug/mozart/trace: the trace buffer in Chrome
-	// trace_event JSON (load into chrome://tracing or ui.perfetto.dev).
-	Trace *obs.ChromeTrace
 	// Recorder serves GET /debug/mozart/flight: the flight recorder's
 	// retained recordings as JSON, newest last.
 	Recorder *obs.FlightRecorder
 	// Spans serves GET /debug/mozart/spans (a JSON index of retained
 	// traces) and GET /debug/mozart/spans/<trace-id> (one request's span
-	// tree — indented text by default, OTLP/JSON with ?format=otlp).
+	// tree — indented text by default, OTLP/JSON with ?format=otlp,
+	// Chrome trace_event JSON with ?format=chrome for chrome://tracing or
+	// ui.perfetto.dev).
 	Spans *obs.SpanRing
 	// Service names the OTLP resource (service.name) on span exports;
 	// empty defaults to "mozart".
@@ -80,15 +79,6 @@ func Mount(mux *http.ServeMux, o Options) {
 			}
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			o.Plans.WriteTo(w)
-		})
-	}
-	if o.Trace != nil {
-		mux.HandleFunc("/debug/mozart/trace", func(w http.ResponseWriter, r *http.Request) {
-			if !allowGet(w, r) {
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			o.Trace.WriteTo(w)
 		})
 	}
 	if o.Recorder != nil {
@@ -128,11 +118,14 @@ func Mount(mux *http.ServeMux, o Options) {
 			case "otlp":
 				w.Header().Set("Content-Type", "application/json")
 				tr.WriteOTLP(w, service)
+			case "chrome":
+				w.Header().Set("Content-Type", "application/json")
+				tr.WriteChrome(w)
 			case "", "tree":
 				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 				tr.RenderTree(w)
 			default:
-				http.Error(w, "unknown format (want tree or otlp)", http.StatusBadRequest)
+				http.Error(w, "unknown format (want tree, otlp or chrome)", http.StatusBadRequest)
 			}
 		})
 	}
@@ -185,8 +178,11 @@ func NewPlanLog(n int) *PlanLog {
 }
 
 // OnPlan records one plan. Safe for concurrent use.
-func (l *PlanLog) OnPlan(p *plan.Plan) {
-	rendered := plan.Render(p)
+func (l *PlanLog) OnPlan(p *plan.Plan) { l.Add(plan.Render(p)) }
+
+// Add records one plan rendering (plan.Render output), for callers that
+// also keep the rendering themselves. Safe for concurrent use.
+func (l *PlanLog) Add(rendered string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++

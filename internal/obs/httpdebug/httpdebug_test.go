@@ -40,7 +40,9 @@ func (chunkSplitter) Merge(pieces []any, t core.SplitType) (any, error) {
 // through a live httptest server.
 func TestDebugEndpointsRoundTrip(t *testing.T) {
 	metrics := obs.NewMetrics()
-	trace := obs.NewChromeTrace()
+	spans := obs.NewSpanRing(4)
+	tc := obs.NewTraceContext()
+	trace := obs.NewSpanRecorder(tc, "evaluate")
 	rec := obs.NewFlightRecorder(4)
 	plans := httpdebug.NewPlanLog(4)
 
@@ -70,10 +72,11 @@ func TestDebugEndpointsRoundTrip(t *testing.T) {
 	if err := s.EvaluateContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	spans.Add(trace.Finish(""))
 
 	mux := http.NewServeMux()
 	httpdebug.Mount(mux, httpdebug.Options{
-		Metrics: metrics, Plans: plans, Trace: trace, Recorder: rec,
+		Metrics: metrics, Plans: plans, Recorder: rec, Spans: spans,
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -116,19 +119,20 @@ func TestDebugEndpointsRoundTrip(t *testing.T) {
 		t.Errorf("/plans body:\n%s", body)
 	}
 
-	// /debug/mozart/trace: valid Chrome trace JSON with events.
-	body, ctype = get("/debug/mozart/trace")
+	// /debug/mozart/spans/<id>?format=chrome: the recorded trace as valid
+	// Chrome trace JSON with events.
+	body, ctype = get("/debug/mozart/spans/" + tc.TraceID.String() + "?format=chrome")
 	if ctype != "application/json" {
-		t.Errorf("/trace content type %q", ctype)
+		t.Errorf("chrome trace content type %q", ctype)
 	}
 	var doc struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("/trace is not valid JSON: %v", err)
+		t.Fatalf("chrome trace is not valid JSON: %v", err)
 	}
 	if len(doc.TraceEvents) == 0 {
-		t.Error("/trace has no events")
+		t.Error("chrome trace has no events")
 	}
 
 	// /debug/mozart/flight: the recorder's retained evaluations.
@@ -137,7 +141,7 @@ func TestDebugEndpointsRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &recs); err != nil {
 		t.Fatalf("/flight is not a JSON list: %v", err)
 	}
-	if len(recs) != 1 || len(recs[0].Events) == 0 || !strings.Contains(recs[0].Plan, "scale") {
+	if len(recs) != 1 || recs[0].Trace == nil || len(recs[0].Trace.Spans) == 0 || !strings.Contains(recs[0].Plan, "scale") {
 		t.Errorf("/flight recordings: %+v", recs)
 	}
 
@@ -162,7 +166,6 @@ func TestMountNilComponents(t *testing.T) {
 	for path, want := range map[string]int{
 		"/metrics":             http.StatusOK,
 		"/debug/mozart/plans":  http.StatusNotFound,
-		"/debug/mozart/trace":  http.StatusNotFound,
 		"/debug/mozart/flight": http.StatusNotFound,
 	} {
 		resp, err := http.Get(srv.URL + path)

@@ -86,6 +86,30 @@ func TestSpansEndpoints(t *testing.T) {
 		t.Errorf("otlp body:\n%s", body)
 	}
 
+	// Chrome rendering: trace_event JSON with the batch on worker lane 1.
+	code, body, ctype = get("/debug/mozart/spans/" + traceID + "?format=chrome")
+	if code != http.StatusOK || ctype != "application/json" {
+		t.Fatalf("chrome: %d %q", code, ctype)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Tid  int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("chrome body not JSON: %v", err)
+	}
+	batchTid := -1
+	for _, e := range doc.TraceEvents {
+		if e.Name == "batch [0:8]" {
+			batchTid = e.Tid
+		}
+	}
+	if batchTid != 1 {
+		t.Errorf("chrome batch span on tid %d, want worker lane 1:\n%s", batchTid, body)
+	}
+
 	// Unknown format and unknown trace fail cleanly.
 	if code, _, _ = get("/debug/mozart/spans/" + traceID + "?format=protobuf"); code != http.StatusBadRequest {
 		t.Errorf("unknown format = %d, want 400", code)

@@ -9,15 +9,21 @@
 // so disabled tracing adds no allocations and no work to the per-batch hot
 // loop. Two sinks ship with the package:
 //
-//   - ChromeTrace renders events in the Chrome trace_event JSON format, one
-//     lane per worker, viewable in chrome://tracing or https://ui.perfetto.dev.
+//   - SpanRecorder is the one recorder: it turns the event stream into a
+//     span tree (session, plan, stages, batches with their split/task
+//     phases, merges, retries, admission waits, ...), bounded per trace.
+//     The finished Trace renders as an indented tree, as OTLP/JSON, or as
+//     Chrome trace_event JSON (one lane per worker, viewable in
+//     chrome://tracing or https://ui.perfetto.dev), and FlightRecorder
+//     retains the last N of them for post-mortems.
 //   - Metrics aggregates per-stage counters (batches, bytes moved under the
 //     §5.2 model, cache-batch utilization, retry/breaker/admission counts)
-//     and exports them via expvar and a plain-text snapshot.
+//     and exports them via expvar, a plain-text snapshot, and Prometheus.
 //
 // Events are plain value structs: emitting one never forces a heap
-// allocation at the call site, and sinks that need to retain events copy
-// them.
+// allocation at the call site. Sinks either aggregate them or, like
+// SpanRecorder, turn them into retained structure; no sink keeps raw
+// events.
 package obs
 
 import "time"

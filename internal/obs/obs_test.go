@@ -51,18 +51,27 @@ func fixedFeed(base time.Time) []Event {
 	}
 }
 
-// TestChromeTraceGolden locks the exact Chrome trace_event JSON rendering of
-// the full event taxonomy. Regenerate with `go test ./internal/obs -update`
-// after an intentional format change, and re-check the new file loads in
-// Perfetto.
-func TestChromeTraceGolden(t *testing.T) {
-	base := time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)
-	c := NewChromeTraceAt(base)
+// fixedTrace records fixedFeed into a SpanRecorder under a fixed trace
+// context, with the root span's wall-clock times normalized to the feed.
+func fixedTrace(t *testing.T, base time.Time) *Trace {
+	t.Helper()
+	tc, _ := ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	rec := NewSpanRecorder(tc, "evaluate")
 	for _, e := range fixedFeed(base) {
-		c.Emit(e)
+		rec.Emit(e)
 	}
+	tr := rec.Finish("")
+	tr.Spans[0].Start, tr.Spans[0].End = base, base.Add(12*time.Millisecond)
+	return tr
+}
+
+// TestChromeTraceGolden locks the exact Chrome trace_event JSON rendering
+// of a recorded trace covering the full event taxonomy. Regenerate with
+// `go test ./internal/obs -update` after an intentional format change, and
+// re-check the new file loads in Perfetto.
+func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
+	if err := fixedTrace(t, time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)).WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -85,37 +94,38 @@ func TestChromeTraceGolden(t *testing.T) {
 }
 
 // TestChromeTraceWellFormed checks the structural invariants Perfetto needs:
-// parseable JSON, a thread_name metadata record per lane, and batch spans on
-// the right worker lanes.
+// parseable JSON, a thread_name metadata record per lane, batch spans on
+// the right worker lanes, and split/task phases nested inside each batch.
 func TestChromeTraceWellFormed(t *testing.T) {
-	base := time.Unix(0, 0)
-	c := NewChromeTraceAt(base)
-	for _, e := range fixedFeed(base) {
-		c.Emit(e)
-	}
 	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
+	if err := fixedTrace(t, time.Unix(0, 0)).WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
+	type record struct {
+		Name string         `json:"name"`
+		Ph   string         `json:"ph"`
+		Ts   float64        `json:"ts"`
+		Dur  float64        `json:"dur"`
+		Tid  int            `json:"tid"`
+		Args map[string]any `json:"args"`
+	}
 	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Tid  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
+		TraceEvents []record `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("emitted trace is not valid JSON: %v", err)
 	}
 	lanes := map[int]string{}
-	batchLanes := map[int]bool{}
+	var batches, phases []record
 	for _, e := range doc.TraceEvents {
 		if e.Ph == "M" && e.Name == "thread_name" {
 			lanes[e.Tid], _ = e.Args["name"].(string)
 		}
 		if strings.HasPrefix(e.Name, "batch ") {
-			batchLanes[e.Tid] = true
+			batches = append(batches, e)
+		}
+		if e.Name == "split" || e.Name == "task" {
+			phases = append(phases, e)
 		}
 	}
 	if lanes[0] != "runtime" {
@@ -124,11 +134,28 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	if lanes[1] != "worker 0" || lanes[2] != "worker 1" {
 		t.Errorf("worker lanes misnamed: %v", lanes)
 	}
-	if !batchLanes[1] || !batchLanes[2] {
+	batchLanes := map[int]bool{}
+	for _, b := range batches {
+		batchLanes[b.Tid] = true
+	}
+	if len(batches) != 2 || !batchLanes[1] || !batchLanes[2] {
 		t.Errorf("batch spans should land on worker lanes 1 and 2, got %v", batchLanes)
 	}
-	if batchLanes[0] {
-		t.Error("a batch span landed on the runtime lane")
+	// Each batch holds a split then a task phase on its own lane, inside
+	// its [ts, ts+dur] window.
+	if len(phases) != 2*len(batches) {
+		t.Fatalf("phase spans = %d, want split+task per batch", len(phases))
+	}
+	for _, b := range batches {
+		var inside []string
+		for _, p := range phases {
+			if p.Tid == b.Tid && p.Ts >= b.Ts && p.Ts+p.Dur <= b.Ts+b.Dur {
+				inside = append(inside, p.Name)
+			}
+		}
+		if strings.Join(inside, ",") != "split,task" {
+			t.Errorf("batch %q on tid %d nests %v, want [split task]", b.Name, b.Tid, inside)
+		}
 	}
 }
 

@@ -221,21 +221,32 @@ func (t *Trace) RootSpan() Span {
 	return Span{}
 }
 
+// maxSpans bounds the spans one recorder retains below its root. Session
+// and stage spans are always kept (they carry the tree's shape); other
+// spans beyond the bound are counted, and Finish reports the count as the
+// root's dropped_spans attr.
+const maxSpans = 4096
+
 // SpanRecorder converts one request's runtime event stream into a span
-// tree. It implements Tracer; wire it into the session's tracer fan-out
-// next to the metrics and flight-recorder sinks. Emit is safe for
-// concurrent use (workers emit batch events in parallel).
+// tree: the runtime's one event recorder. It implements Tracer; wire it
+// into the session's tracer fan-out next to the aggregating metrics sink.
+// Emit is safe for concurrent use (workers emit batch events in parallel).
+// The finished Trace renders as an indented tree, OTLP/JSON, or Chrome
+// trace_event JSON, and is what flight recordings retain.
 //
 // Span identity is derived, not random: span ids are the trace id's low
 // eight bytes XOR an emission sequence number, so a recorder's output is
-// deterministic given its trace context and event stream.
+// deterministic given its trace context and event stream. A dropped span
+// still consumes its sequence number, so the ids of kept spans do not
+// depend on the bound.
 type SpanRecorder struct {
 	tc TraceContext
 
-	mu    sync.Mutex
-	seq   uint64
-	root  Span
-	spans []Span
+	mu      sync.Mutex
+	seq     uint64
+	root    Span
+	spans   []Span
+	dropped int64
 	// session is the open evaluation span (EvSessionBegin..EvSessionEnd);
 	// stages maps a stage index to its open stage span.
 	session  SpanID
@@ -347,6 +358,11 @@ func (r *SpanRecorder) Emit(e Event) {
 			r.stages[e.Stage] = slot
 		}
 	default:
+		if len(r.spans) >= maxSpans {
+			r.seq++
+			r.dropped++
+			return
+		}
 		r.spans = append(r.spans, r.eventSpan(e))
 	}
 }
@@ -445,6 +461,9 @@ func (r *SpanRecorder) Finish(errDetail string) *Trace {
 		now := time.Now()
 		r.root.End = now
 		r.root.Err = errDetail
+		if r.dropped > 0 {
+			r.root.Attrs = append(r.root.Attrs, SpanAttr{Key: "dropped_spans", Int: r.dropped, IsInt: true})
+		}
 		for i := range r.spans {
 			if r.spans[i].End.Before(r.spans[i].Start) || r.spans[i].End.IsZero() {
 				r.spans[i].End = now

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -288,6 +289,56 @@ func TestWriteOTLPShape(t *testing.T) {
 	}
 	if !sawServer {
 		t.Errorf("root span must have SERVER kind (2)")
+	}
+}
+
+// TestSpanRecorderSpanCap: beyond maxSpans a recorder counts drops on the
+// root instead of buffering, session and stage spans are kept regardless,
+// and kept spans' ids do not depend on how many were dropped.
+func TestSpanRecorderSpanCap(t *testing.T) {
+	tc, _ := ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	rec := NewSpanRecorder(tc, "req")
+	base := time.Unix(0, 0)
+	const batches = maxSpans + 10
+	rec.Emit(Event{Kind: EvSessionBegin, Time: base, Stage: -1, Worker: RuntimeLane})
+	rec.Emit(Event{Kind: EvStageBegin, Time: base, Stage: 0, Calls: "a"})
+	for i := 0; i < batches; i++ {
+		rec.Emit(Event{Kind: EvBatch, Time: base.Add(time.Millisecond), Dur: time.Millisecond,
+			Stage: 0, Start: int64(i), End: int64(i + 1)})
+	}
+	rec.Emit(Event{Kind: EvStageEnd, Time: base.Add(time.Second), Dur: time.Second, Stage: 0})
+	rec.Emit(Event{Kind: EvStageBegin, Time: base.Add(time.Second), Stage: 1, Calls: "b"})
+	rec.Emit(Event{Kind: EvStageEnd, Time: base.Add(2 * time.Second), Dur: time.Second, Stage: 1})
+	rec.Emit(Event{Kind: EvSessionEnd, Time: base.Add(2 * time.Second), Dur: 2 * time.Second, Stage: -1, Worker: RuntimeLane})
+	tr := rec.Finish("")
+
+	// root + session + stage 0 + (maxSpans-2) batches + stage 1
+	if len(tr.Spans) != maxSpans+2 {
+		t.Fatalf("got %d spans, want %d", len(tr.Spans), maxSpans+2)
+	}
+	var dropped int64 = -1
+	for _, a := range tr.RootSpan().Attrs {
+		if a.Key == "dropped_spans" {
+			dropped = a.Int
+		}
+	}
+	if want := int64(batches - (maxSpans - 2)); dropped != want {
+		t.Errorf("dropped_spans = %d, want %d", dropped, want)
+	}
+	last := tr.Spans[len(tr.Spans)-1]
+	if last.Name != "stage 1 [b]" || last.Dur() != time.Second {
+		t.Fatalf("stage past the cap = %q (%v), want stage 1 [b] closed after 1s", last.Name, last.Dur())
+	}
+	// root=1, session=2, stage 0=3, batches 4.., stage 1 after all of them.
+	var want SpanID
+	binary.BigEndian.PutUint64(want[:], binary.BigEndian.Uint64(tc.TraceID[8:16])^uint64(4+batches))
+	if last.SpanID != want {
+		t.Errorf("stage 1 id = %s, want %s (dropped spans keep their sequence numbers)", last.SpanID, want)
+	}
+	for _, s := range tr.Spans {
+		if s.Name == "session" && s.Dur() != 2*time.Second {
+			t.Errorf("session span not closed past the cap: %v", s.Dur())
+		}
 	}
 }
 

@@ -108,14 +108,12 @@ type Config struct {
 	SLO SLOConfig
 	// Logger, when set, receives one structured summary line per /v1/eval
 	// request (trace id, tenant, workload, mode, status, outcome, latency)
-	// via log/slog. Nil logs nothing — tests and embedders that only want
-	// the lifecycle Logf stay quiet.
+	// and the server's lifecycle lines (a passed drain deadline, a
+	// recovered handler panic) via log/slog. Nil logs nothing.
 	Logger *slog.Logger
 	// SpanDepth is how many completed request span trees the server
 	// retains behind /debug/mozart/spans (<= 0 selects 64).
 	SpanDepth int
-	// Logf receives server lifecycle lines (nil discards).
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
@@ -148,9 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Registry == nil {
 		c.Registry = WorkloadRegistry()
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
@@ -294,9 +289,9 @@ func (s *Server) routes() {
 	for name, t := range s.tenants {
 		t := t
 		s.mux.HandleFunc("/debug/mozart/flight/"+name, s.protect(func(w http.ResponseWriter, r *http.Request) {
-			// ?trace=<id> resolves one recording by the trace id stamped on
-			// its session events — the link a 500/504 body's flight ref
-			// carries, so a failing request's post-mortem is one GET away.
+			// ?trace=<id> resolves one recording by its request's trace id —
+			// the link a 500/504 body's flight ref carries, so a failing
+			// request's post-mortem is one GET away.
 			if id := r.URL.Query().Get("trace"); id != "" {
 				rec, ok := t.recorder.Find(id)
 				if !ok {
@@ -372,8 +367,10 @@ func (s *Server) Drain() error {
 	select {
 	case <-done:
 	case <-timer.C:
-		s.cfg.Logf("serve: drain deadline (%v) passed with %d in flight; force-cancelling",
-			s.cfg.DrainTimeout, s.inFlight.Load())
+		if l := s.cfg.Logger; l != nil {
+			l.Error("drain deadline passed; force-cancelling",
+				"deadline", s.cfg.DrainTimeout, "in_flight", s.inFlight.Load())
+		}
 		s.hardCancel()
 		<-done // cancellation stops workers at batch boundaries; bounded
 	}
@@ -443,7 +440,10 @@ func (s *Server) protect(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if v := recover(); v != nil {
-				s.cfg.Logf("serve: panic in %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+				if l := s.cfg.Logger; l != nil {
+					l.Error("handler panic", "method", r.Method, "path", r.URL.Path,
+						"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+				}
 				writeError(w, http.StatusInternalServerError, errorDetail{
 					Origin:  "panic",
 					Message: fmt.Sprint(v),
@@ -648,6 +648,8 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		tenant     *Tenant
 		tenantName string
 		evalErr    string // the evaluation error, for the root span
+		evaluated  bool   // the request reached its workload: flight-record it
+		planText   string // the last plan rendering, for the flight recording
 	)
 	watch := &pressureWatch{}
 	start := time.Now()
@@ -659,7 +661,13 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		rec.Annotate("tenant", tenantName)
 		rec.Annotate("outcome", outcome)
 		rec.AnnotateInt("http.status_code", int64(status))
-		s.spans.Add(rec.Finish(evalErr))
+		// One recorded trace, two retention rings: the server-wide span
+		// ring and, for evaluated requests, the tenant's flight recorder.
+		tr := rec.Finish(evalErr)
+		s.spans.Add(tr)
+		if evaluated {
+			tenant.recorder.Add(obs.Recording{Err: evalErr, Plan: planText, Trace: tr})
+		}
 		if tenant != nil {
 			if good, counted := tenant.slo.classify(status, latency); counted {
 				tenant.slo.record(time.Now(), good, latency, traceID)
@@ -769,13 +777,12 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	stopHard := context.AfterFunc(s.hardCtx, cancel)
 	defer stopHard()
 
-	// Tenant-scoped session options: the per-request flight handle, the
-	// tenant metrics and breaker group, the server-wide sinks, and the
-	// request's span recorder — one event stream, fanned out to all of
-	// them. The Trace stamp keys the shared sinks' retained state (latency
-	// exemplars, flight recordings) by this request's trace id.
+	// Tenant-scoped session options: the tenant metrics and breaker group,
+	// the server-wide sinks, and the request's span recorder — one event
+	// stream, fanned out to all of them. The recorder is the only sink
+	// that retains structure; its trace becomes the flight recording. The
+	// Trace stamp keys the latency exemplars by this request's trace id.
 	evalTC := rec.Context()
-	flight := t.recorder.Session()
 	opts := core.Options{
 		Workers:        req.Threads,
 		Governor:       t.gov,
@@ -785,10 +792,10 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		OutOfCore:      req.Degrade,
 		SpillDir:       s.cfg.SpillDir,
 		Trace:          &evalTC,
-		Tracer:         obs.Multi(s.metrics, t.metrics, flight, watch, rec),
+		Tracer:         obs.Multi(s.metrics, t.metrics, watch, rec),
 		OnPlan: func(p *plan.Plan) {
-			s.plans.OnPlan(p)
-			flight.OnPlan(p)
+			planText = plan.Render(p)
+			s.plans.Add(planText)
 		},
 		BaseContext: func() context.Context { return ctx },
 	}
@@ -806,6 +813,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		Session:  req.Session,
 	}
 	evalStart := time.Now()
+	evaluated = true
 	checksum, err := fn(ctx, p, opts)
 	elapsed := time.Since(evalStart)
 	evals := t.touchSession(req.Session, err)

@@ -23,6 +23,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"strings"
@@ -128,7 +129,7 @@ func TestChaosSoak(t *testing.T) {
 			{Name: "noisy", BudgetBytes: tenantBudget, MaxInFlight: 2, Registry: noisyReg},
 			{Name: "quiet", BudgetBytes: tenantBudget, MaxInFlight: 2, Registry: pipelineRegistry(quietInj)},
 		},
-		Logf: t.Logf,
+		Logger: slog.New(slog.NewTextHandler(testLogWriter{t}, &slog.HandlerOptions{Level: slog.LevelError})),
 	})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
@@ -433,4 +434,12 @@ func TestChaosSoak(t *testing.T) {
 	t.Logf("soak: noisy ok=%d shed=%d timeout=%d | quiet ok=%d shed=%d | noisy trips=%d",
 		counts["noisy"].ok.Load(), counts["noisy"].shed.Load(), counts["noisy"].timeout.Load(),
 		counts["quiet"].ok.Load(), counts["quiet"].shed.Load(), srv.Tenant("noisy").Breakers().Trips())
+}
+
+// testLogWriter routes the server's slog output into the test log.
+type testLogWriter struct{ t *testing.T }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

@@ -28,8 +28,8 @@ type TenantConfig struct {
 	// for this tenant (used by tests to give tenants different — e.g.
 	// fault-injected — implementations of the same workload name).
 	Registry map[string]EvalFunc
-	// FlightDepth is how many evaluations the tenant's flight recorder
-	// retains (<= 0 selects 8).
+	// FlightDepth is how many evaluated requests the tenant's flight
+	// recorder retains, each as its request's span tree (<= 0 selects 8).
 	FlightDepth int
 	// SLO, when non-nil, overrides the server-wide Config.SLO objectives
 	// for this tenant.

@@ -360,13 +360,31 @@ type TraceEvent = obs.Event
 // TraceEventKind classifies a TraceEvent.
 type TraceEventKind = obs.EventKind
 
-// ChromeTrace is a Tracer sink rendering events in the Chrome trace_event
-// JSON format — one lane per worker plus a runtime lane — viewable in
-// chrome://tracing or https://ui.perfetto.dev.
-type ChromeTrace = obs.ChromeTrace
+// SpanRecorder is the Tracer sink that records the event stream as one
+// span tree: session, plan, stages, batches with their split/task phases,
+// merges, retries, and admission waits. Finish returns the completed
+// Trace.
+type SpanRecorder = obs.SpanRecorder
 
-// NewChromeTrace creates a ChromeTrace sink with timestamps relative to now.
-func NewChromeTrace() *ChromeTrace { return obs.NewChromeTrace() }
+// NewSpanRecorder roots a recorder on tc under a root span called name.
+// Pass the zero TraceContext for a local, untraced timeline, or
+// NewTraceContext() for a fresh trace id.
+func NewSpanRecorder(tc TraceContext, name string) *SpanRecorder {
+	return obs.NewSpanRecorder(tc, name)
+}
+
+// Trace is a completed span tree. It renders as an indented tree
+// (RenderTree), as OTLP/JSON (WriteOTLP), or as Chrome trace_event JSON
+// with one lane per worker plus a runtime lane (WriteChrome), viewable in
+// chrome://tracing or https://ui.perfetto.dev.
+type Trace = obs.Trace
+
+// TraceContext is a request's W3C trace identity (trace id, parent span
+// id, sampled flag); Options.Trace stamps it on session events.
+type TraceContext = obs.TraceContext
+
+// NewTraceContext generates a fresh sampled trace context.
+func NewTraceContext() TraceContext { return obs.NewTraceContext() }
 
 // Metrics is a Tracer sink aggregating per-stage counters: batches,
 // elements, bytes moved under the §5.2 model, cache-batch utilization, and
@@ -378,15 +396,17 @@ type Metrics = obs.Metrics
 // NewMetrics creates an empty Metrics sink.
 func NewMetrics() *Metrics { return obs.NewMetrics() }
 
-// MultiTracer fans events out to several tracers (e.g. a ChromeTrace and a
-// Metrics sink at once). Nil tracers are skipped.
+// MultiTracer fans events out to several tracers (e.g. a SpanRecorder and
+// a Metrics sink at once). Nil tracers are skipped.
 func MultiTracer(ts ...Tracer) Tracer { return obs.Multi(ts...) }
 
 // WithTracer returns a copy of opts with the tracer installed, for the
 // common "default options plus tracing" construction:
 //
-//	trace := mozart.NewChromeTrace()
-//	s := mozart.NewSession(mozart.WithTracer(mozart.Options{Workers: 8}, trace))
+//	rec := mozart.NewSpanRecorder(mozart.TraceContext{}, "evaluate")
+//	s := mozart.NewSession(mozart.WithTracer(mozart.Options{Workers: 8}, rec))
+//	...
+//	rec.Finish("").WriteChrome(f) // Perfetto-loadable timeline
 func WithTracer(opts Options, t Tracer) Options {
 	opts.Tracer = t
 	return opts
@@ -435,9 +455,9 @@ type StageMetrics = obs.StageMetrics
 // the memsim machine model and replayed through the cache hierarchy.
 type CacheCounters = obs.CacheCounters
 
-// FlightRecorder retains the last N evaluations' full event streams and
-// plan renderings in a bounded ring — raw detail for post-hoc debugging,
-// where Metrics keeps only aggregates. Wire it into a session with
+// FlightRecorder retains the last N evaluations' span trees and plan
+// renderings in a bounded ring — detail for post-hoc debugging, where
+// Metrics keeps only aggregates. Wire it into a session with
 // WithFlightRecorder; dump with FlightRecorder.Dump or serve it via
 // internal/obs/httpdebug.
 type FlightRecorder = obs.FlightRecorder
@@ -446,7 +466,7 @@ type FlightRecorder = obs.FlightRecorder
 // (obtained from FlightRecorder.Session; wired by WithFlightRecorder).
 type FlightHandle = obs.FlightHandle
 
-// FlightRecording is one retained evaluation: events, plan, and outcome.
+// FlightRecording is one retained evaluation: span tree, plan, and outcome.
 type FlightRecording = obs.Recording
 
 // NewFlightRecorder creates a recorder retaining the last n evaluations
