@@ -24,9 +24,9 @@
 //
 // The telemetry mux rides on the same listener: GET /metrics (plain
 // Prometheus text, or OpenMetrics with exemplars under Accept:
-// application/openmetrics-text), /debug/mozart/plans, /debug/mozart/trace,
-// per-request span trees under /debug/mozart/spans/<trace-id>, and
-// per-tenant flight recorders under /debug/mozart/flight/<tenant>.
+// application/openmetrics-text), /debug/mozart/plans, per-request span
+// trees under /debug/mozart/spans/<trace-id> (?format=tree|otlp|chrome),
+// and per-tenant flight recorders under /debug/mozart/flight/<tenant>.
 //
 // Every /v1/eval request is traced end to end: a W3C traceparent header is
 // honoured (or one is minted), echoed back on the response, stamped into

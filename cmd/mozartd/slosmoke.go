@@ -225,9 +225,9 @@ func runSLOSmoke(logf func(string, ...any)) error {
 	logf("slo-smoke: strict tenant burns budget on both windows")
 
 	// 5. A deadline-exceeded request's trace id resolves to its flight
-	// recording. The 1ms deadline can occasionally expire before the
-	// session opens (no recording); retry with fresh trace ids until the
-	// timeout lands mid-evaluation.
+	// recording: every evaluated request is recorded, so every 504 has
+	// one. The 1ms deadline can occasionally be beaten; retry with fresh
+	// trace ids until a request times out.
 	var timedOutTrace string
 	for i := 0; i < 10 && timedOutTrace == ""; i++ {
 		resp, body, err = post("alpha", "", `{"workload":"blackscholes-numpy","scale":1048576,"timeout_ms":1}`)
@@ -252,19 +252,20 @@ func runSLOSmoke(logf func(string, ...any)) error {
 		if resp, body, err = get(ed.Error.Flight, ""); err != nil {
 			return err
 		}
-		if resp.StatusCode == http.StatusOK {
-			var rec struct {
-				TraceID string `json:"trace_id"`
-				Err     string `json:"err"`
-			}
-			if err := json.Unmarshal(body, &rec); err != nil {
-				return fmt.Errorf("flight lookup: bad body %s: %w", body, err)
-			}
-			if rec.TraceID != ed.Error.TraceID || rec.Err == "" {
-				return fmt.Errorf("flight recording mismatch: trace %q err %q", rec.TraceID, rec.Err)
-			}
-			timedOutTrace = ed.Error.TraceID
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("flight lookup for 504 trace %s: %d %s", ed.Error.TraceID, resp.StatusCode, body)
 		}
+		var rec struct {
+			TraceID string `json:"trace_id"`
+			Err     string `json:"err"`
+		}
+		if err := json.Unmarshal(body, &rec); err != nil {
+			return fmt.Errorf("flight lookup: bad body %s: %w", body, err)
+		}
+		if rec.TraceID != ed.Error.TraceID || rec.Err == "" {
+			return fmt.Errorf("flight recording mismatch: trace %q err %q", rec.TraceID, rec.Err)
+		}
+		timedOutTrace = ed.Error.TraceID
 	}
 	if timedOutTrace == "" {
 		return fmt.Errorf("no deadline-exceeded request produced a trace-resolvable flight recording")

@@ -264,22 +264,20 @@ func TestChaosSoak(t *testing.T) {
 				t.Fatalf("504 body %s (err %v), want origin timeout", body, err)
 			}
 			// The deadline-exceeded trace resolves to its flight recording:
-			// the body's flight ref is keyed by the minted trace id. The 1ms
-			// deadline can occasionally expire before the session opens (no
-			// recording retained); the trace-keyed contract only binds when
-			// the timeout landed mid-evaluation.
+			// the body's flight ref is keyed by the minted trace id, and
+			// every evaluated request is recorded.
 			if eb.Error.TraceID == "" || !strings.Contains(eb.Error.Flight, "?trace="+eb.Error.TraceID) {
 				t.Fatalf("504 body lacks trace-keyed flight ref: %s", body)
 			}
-			if fstatus, fbody, ferr := get(eb.Error.Flight); ferr != nil {
+			fstatus, fbody, ferr := get(eb.Error.Flight)
+			if ferr != nil {
 				t.Fatal(ferr)
-			} else if fstatus == http.StatusOK {
-				var frec struct {
-					TraceID string `json:"trace_id"`
-				}
-				if err := json.Unmarshal(fbody, &frec); err != nil || frec.TraceID != eb.Error.TraceID {
-					t.Fatalf("flight recording trace %q (err %v), want %s", frec.TraceID, err, eb.Error.TraceID)
-				}
+			}
+			var frec struct {
+				TraceID string `json:"trace_id"`
+			}
+			if err := json.Unmarshal(fbody, &frec); fstatus != http.StatusOK || err != nil || frec.TraceID != eb.Error.TraceID {
+				t.Fatalf("flight lookup %d: recording trace %q (err %v), want %s", fstatus, frec.TraceID, err, eb.Error.TraceID)
 			}
 		case http.StatusTooManyRequests:
 			time.Sleep(5 * time.Millisecond) // shed by leftover in-flight; retry
