@@ -23,8 +23,10 @@ type EvalParams struct {
 // dies on client disconnect or forced drain); opts arrives pre-loaded with
 // the tenant's scoped machinery — Governor, BreakerGroup, retry/fallback
 // policies, tracer, plan hook, and a BaseContext mirroring ctx — and must
-// be passed into every core.Session the function builds. The returned
-// float64 is the workload's result checksum.
+// be passed into every core.Session the function builds. Those sessions
+// evaluate one at a time and finish before the function returns: the
+// tracer and plan hook record one request. The returned float64 is the
+// workload's result checksum.
 type EvalFunc func(ctx context.Context, p EvalParams, opts core.Options) (float64, error)
 
 // WorkloadRegistry builds the default registry: the paper's 15 evaluation
