@@ -53,8 +53,7 @@ func fixedFeed(base time.Time) []Event {
 
 // fixedTrace records fixedFeed into a SpanRecorder under a fixed trace
 // context, with the root span's wall-clock times normalized to the feed.
-func fixedTrace(t *testing.T, base time.Time) *Trace {
-	t.Helper()
+func fixedTrace(base time.Time) *Trace {
 	tc, _ := ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
 	rec := NewSpanRecorder(tc, "evaluate")
 	for _, e := range fixedFeed(base) {
@@ -71,7 +70,7 @@ func fixedTrace(t *testing.T, base time.Time) *Trace {
 // re-check the new file loads in Perfetto.
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := fixedTrace(t, time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)).WriteChrome(&buf); err != nil {
+	if err := fixedTrace(time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)).WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -98,7 +97,7 @@ func TestChromeTraceGolden(t *testing.T) {
 // the right worker lanes, and split/task phases nested inside each batch.
 func TestChromeTraceWellFormed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := fixedTrace(t, time.Unix(0, 0)).WriteChrome(&buf); err != nil {
+	if err := fixedTrace(time.Unix(0, 0)).WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	type record struct {
